@@ -2,10 +2,13 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <thread>
 
 #include "common/log.hpp"
 #include "fault/fault.hpp"
+#include "gomp/pool.hpp"
+#include "obs/trace.hpp"
 
 namespace ompmca::gomp {
 
@@ -24,9 +27,9 @@ void create_backoff(unsigned attempt) {
 }
 
 // Process-wide id carving: each backend instance claims a contiguous block
-// of node ids (1 master + up to kMaxWorkers workers); resource keys for
+// of node ids (1 master + one per pool worker); resource keys for
 // gomp_malloc segments and runtime mutexes come from a disjoint space.
-constexpr unsigned kMaxWorkers = 256;
+constexpr unsigned kMaxWorkers = ThreadPool::kMaxWorkers;
 
 mrapi::NodeId claim_node_base() {
   static std::atomic<mrapi::NodeId> next{1};
@@ -38,52 +41,41 @@ mrapi::ResourceKey next_resource_key() {
   return next.fetch_add(1);
 }
 
-/// gomp_mrapi_mutex_lock / unlock (Listing 4) behind the BackendMutex
-/// interface.  The runtime's mutexes are non-recursive, so the MRAPI lock
-/// key is the constant 1.
-class McaMutex final : public BackendMutex {
- public:
-  explicit McaMutex(std::shared_ptr<mrapi::Mutex> m) : m_(std::move(m)) {}
-
-  void lock() override {
-    // Spurious kTimeout (fault-injected, or a future bounded-wait backend)
-    // is transient: re-arm the wait.  The retry bound only guards against a
-    // pathological schedule; a real unbounded failure surfaces as a logged
-    // error rather than silent mutual-exclusion loss.
-    constexpr unsigned kLockRetries = 64;
-    mrapi::LockKey key;
-    std::uint64_t failures = 0;
-    for (;;) {
-      Status s = m_->lock(mrapi::kTimeoutInfinite, &key);
-      if (ok(s)) {
-        if (failures > 0) {
-          OMPMCA_FAULT_RECOVERED(kMrapiMutexAcquire, failures);
-        }
-        return;
-      }
-      if (s != Status::kTimeout || ++failures >= kLockRetries) {
-        if (failures > 0) {
-          OMPMCA_FAULT_EXHAUSTED(kMrapiMutexAcquire, failures);
-        }
-        OMPMCA_LOG_ERROR("MCA backend: mutex lock failed: %s",
-                         std::string(to_string(s)).c_str());
-        return;
-      }
-      create_backoff(failures > 6 ? 6 : static_cast<unsigned>(failures));
-    }
-  }
-  // Key checked at lock time; an unlock mismatch is unreachable here.
-  void unlock() override { (void)m_->unlock(mrapi::LockKey{1}); }
-  bool try_lock() override {
-    mrapi::LockKey key;
-    return ok(m_->trylock(&key));
-  }
-
- private:
-  std::shared_ptr<mrapi::Mutex> m_;
-};
-
 }  // namespace
+
+void McaMutex::lock() {
+  // Spurious kTimeout (fault-injected, or a future bounded-wait backend) is
+  // transient: re-arm the wait.  The retry bound only guards against a
+  // pathological schedule.
+  constexpr unsigned kLockRetries = 64;
+  mrapi::LockKey key;
+  std::uint64_t failures = 0;
+  for (;;) {
+    Status s = m_->lock(mrapi::kTimeoutInfinite, &key);
+    if (ok(s)) {
+      if (failures > 0) OMPMCA_FAULT_RECOVERED(kMrapiMutexAcquire, failures);
+      return;
+    }
+    if (s != Status::kTimeout || ++failures >= kLockRetries) {
+      if (failures > 0) OMPMCA_FAULT_EXHAUSTED(kMrapiMutexAcquire, failures);
+      OMPMCA_LOG_ERROR(
+          "MCA backend: mutex lock failed: %s; aborting instead of entering "
+          "the critical section unprotected",
+          std::string(to_string(s)).c_str());
+      obs::trace::dump_flight_record("MCA mutex lock failed");
+      std::abort();
+    }
+    create_backoff(failures > 6 ? 6 : static_cast<unsigned>(failures));
+  }
+}
+
+// Key checked at lock time; an unlock mismatch is unreachable here.
+void McaMutex::unlock() { (void)m_->unlock(mrapi::LockKey{1}); }
+
+bool McaMutex::try_lock() {
+  mrapi::LockKey key;
+  return ok(m_->trylock(&key));
+}
 
 McaBackend::McaBackend(mrapi::DomainId domain)
     : domain_(domain), node_base_(claim_node_base()) {

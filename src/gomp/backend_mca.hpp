@@ -22,6 +22,24 @@
 
 namespace ompmca::gomp {
 
+/// gomp_mrapi_mutex_lock / unlock (Listing 4) behind the BackendMutex
+/// interface.  The runtime's mutexes are non-recursive, so the MRAPI lock
+/// key is the constant 1.
+class McaMutex final : public BackendMutex {
+ public:
+  explicit McaMutex(std::shared_ptr<mrapi::Mutex> m) : m_(std::move(m)) {}
+
+  /// Fail-stop: re-arms spurious timeouts, but a lock that cannot be taken
+  /// (retired mutex, retries exhausted) logs, dumps the flight record and
+  /// aborts — returning would run the critical section unprotected.
+  void lock() override;
+  void unlock() override;
+  bool try_lock() override;
+
+ private:
+  std::shared_ptr<mrapi::Mutex> m_;
+};
+
 class McaBackend final : public SystemBackend {
  public:
   /// Initializes this runtime's master MRAPI node in @p domain.  Node ids

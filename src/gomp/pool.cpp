@@ -43,19 +43,14 @@ unsigned popcount64(std::uint64_t v) {
   std::abort();
 }
 
-}  // namespace
-
-#define OMPMCA_POOL_GUARD(cond, what)       \
-  do {                                      \
-    if (!(cond)) pool_protocol_abort(what); \
-  } while (0)
-
+/// Launches worker @p index through @p backend with the fault-injection
+/// point and the bounded retry-with-backoff policy applied.  A handful of
+/// attempts with exponential backoff: worker launch failures under MRAPI are
+/// resource-exhaustion shaped (node table full, thread creation refused)
+/// and usually clear once a peer retires.  The caller degrades the team
+/// width when even the retries fail.
 Status launch_worker_with_retry(SystemBackend& backend, unsigned index,
                                 std::function<void()> fn) {
-  // A handful of attempts with exponential backoff: worker launch failures
-  // under MRAPI are resource-exhaustion shaped (node table full, thread
-  // creation refused) and usually clear once a peer retires.  The caller
-  // degrades the team width when even the retries fail.
   constexpr unsigned kLaunchRetries = 4;
   constexpr unsigned kBackoffUs = 32;
   std::uint64_t failures = 0;
@@ -80,10 +75,16 @@ Status launch_worker_with_retry(SystemBackend& backend, unsigned index,
   }
 }
 
-ThreadPool::ThreadPool(SystemBackend& backend, PoolMode mode,
-                       WaitPolicy wait_policy, unsigned max_workers)
+}  // namespace
+
+#define OMPMCA_POOL_GUARD(cond, what)       \
+  do {                                      \
+    if (!(cond)) pool_protocol_abort(what); \
+  } while (0)
+
+ThreadPool::ThreadPool(SystemBackend& backend, WaitPolicy wait_policy,
+                       unsigned max_workers)
     : backend_(backend),
-      mode_(mode),
       wait_policy_(wait_policy),
       can_spin_(std::thread::hardware_concurrency() > 1),
       max_workers_(std::min(max_workers, kMaxWorkers)),
@@ -231,7 +232,7 @@ void ThreadPool::ring(Bell& bell) {
   }
 }
 
-void ThreadPool::worker_loop(Bell& bell, std::uint64_t seen, bool one_shot) {
+void ThreadPool::worker_loop(Bell& bell, std::uint64_t seen) {
   for (;;) {
     std::uint64_t a = bell.assign.load(std::memory_order_acquire);
     if (a == seen && !exit_.load(std::memory_order_relaxed)) {
@@ -262,50 +263,44 @@ void ThreadPool::worker_loop(Bell& bell, std::uint64_t seen, bool one_shot) {
     seen = a;
     // A leased worker's mailbox changes at most once per lease: the next
     // master can only write it after this worker's join retired the lease.
-    // So every observed word is exactly one region to serve — except the
-    // kNoWorkSlot sentinel, which releases a per-region worker that ended
-    // up outside the final team.
-    const unsigned slot_index = assign_slot(a);
-    if (slot_index != kNoWorkSlot) {
-      DispatchSlot& slot = slots_[slot_index];
-      const unsigned tid = assign_tid(a);
-      if (slot.dispatch_start_ns != 0) {
-        // dispatch_start_ns is armed by start_team when telemetry or
-        // tracing is on; both consumers share the single clock read.
-        const std::uint64_t now = monotonic_nanos();
-        if (obs::enabled()) {
-          const std::uint64_t wake_ns = now - slot.dispatch_start_ns;
-          obs::count(obs::Counter::kGompPoolDispatch);
-          obs::record(obs::Hist::kGompDoorbellWakeNs, wake_ns);
-          obs::record(obs::Hist::kGompPoolDispatchNs, wake_ns);
-        }
-        // Flow-arrow target: fork_ring (master) -> worker_wake, keyed by
-        // the global dispatch sequence the mailbox word carries.
-        obs::trace::instant_at(obs::trace::Type::kWorkerWake, now,
-                               assign_seq(a));
+    // So every observed word is exactly one region to serve.
+    DispatchSlot& slot = slots_[assign_slot(a)];
+    const unsigned tid = assign_tid(a);
+    if (slot.dispatch_start_ns != 0) {
+      // dispatch_start_ns is armed by start_team when telemetry or tracing
+      // is on; both consumers share the single clock read.
+      const std::uint64_t now = monotonic_nanos();
+      if (obs::enabled()) {
+        const std::uint64_t wake_ns = now - slot.dispatch_start_ns;
+        obs::count(obs::Counter::kGompPoolDispatch);
+        obs::record(obs::Hist::kGompDoorbellWakeNs, wake_ns);
+        obs::record(obs::Hist::kGompPoolDispatchNs, wake_ns);
       }
-      // Heartbeat parity for the stall watchdog: capture armed() once so
-      // both bumps happen or neither — a monitor started or stopped
-      // mid-region must not leave the epoch odd forever.
-      const bool hb = obs::monitor::armed();
-      if (hb) bell.heartbeat.fetch_add(1, std::memory_order_relaxed);
-      {
-        obs::trace::Span work_span(obs::trace::Type::kWorkerWork,
-                                   assign_seq(a));
-        slot.work(tid);
-      }
-      if (hb) bell.heartbeat.fetch_add(1, std::memory_order_relaxed);
-      // seq_cst: Dekker pair with wait_team — the decrement is ordered
-      // before the join_waiting load, the master's join_waiting store
-      // before its active re-check.  Only the last finisher — and only
-      // when the master actually sleeps — pays for a notify.
-      if (slot.active.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
-          slot.join_waiting.load(std::memory_order_seq_cst)) {
-        { MutexLock lk(slot.done_mu); }
-        slot.done_cv.notify_one();
-      }
+      // Flow-arrow target: fork_ring (master) -> worker_wake, keyed by the
+      // global dispatch sequence the mailbox word carries.
+      obs::trace::instant_at(obs::trace::Type::kWorkerWake, now,
+                             assign_seq(a));
     }
-    if (one_shot) return;
+    // Heartbeat parity for the stall watchdog: capture armed() once so both
+    // bumps happen or neither — a monitor started or stopped mid-region
+    // must not leave the epoch odd forever.
+    const bool hb = obs::monitor::armed();
+    if (hb) bell.heartbeat.fetch_add(1, std::memory_order_relaxed);
+    {
+      obs::trace::Span work_span(obs::trace::Type::kWorkerWork,
+                                 assign_seq(a));
+      slot.work(tid);
+    }
+    if (hb) bell.heartbeat.fetch_add(1, std::memory_order_relaxed);
+    // seq_cst: Dekker pair with wait_team — the decrement is ordered before
+    // the join_waiting load, the master's join_waiting store before its
+    // active re-check.  Only the last finisher — and only when the master
+    // actually sleeps — pays for a notify.
+    if (slot.active.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
+        slot.join_waiting.load(std::memory_order_seq_cst)) {
+      { MutexLock lk(slot.done_mu); }
+      slot.done_cv.notify_one();
+    }
   }
 }
 
@@ -437,9 +432,8 @@ std::uint64_t ThreadPool::ensure_launched(std::uint64_t lease) {
     // wait must compare against a value predating any assignment this
     // dispatch will store, or it could sleep through its own first region.
     const std::uint64_t cur = bell->assign.load(std::memory_order_relaxed);
-    Status s = launch_worker_with_retry(backend_, index, [this, bell, cur] {
-      worker_loop(*bell, cur, /*one_shot=*/false);
-    });
+    Status s = launch_worker_with_retry(
+        backend_, index, [this, bell, cur] { worker_loop(*bell, cur); });
     if (!ok(s)) {
       OMPMCA_LOG_ERROR("pool: failed to launch worker %u: %s", index,
                        std::string(to_string(s)).c_str());
@@ -458,13 +452,13 @@ std::uint64_t ThreadPool::ensure_launched(std::uint64_t lease) {
 }
 
 unsigned ThreadPool::prepare(Dispatch& d, unsigned nthreads,
-                             unsigned preferred_cluster) {
+                             unsigned preferred_cluster, unsigned level) {
   OMPMCA_POOL_GUARD(d.slot_ == -1 && !d.started_,
                     "prepare() on a dispatch already in flight");
   d.pool_ = this;
   d.lease_ = 0;
   d.width_ = 1;
-  d.per_region_.clear();
+  d.level_ = level;
   if (nthreads <= 1) return 1;
 
   const int slot = claim_slot();
@@ -483,34 +477,8 @@ unsigned ThreadPool::prepare(Dispatch& d, unsigned nthreads,
   }
 
   const unsigned extra = std::min(nthreads - 1, max_workers_);
-  std::uint64_t lease = lease_workers(extra, preferred_cluster);
-  if (mode_ == PoolMode::kPersistent) {
-    lease = ensure_launched(lease);
-  } else {
-    // kPerRegion: fresh backend thread (node) per leased worker, parked on
-    // its mailbox until start_team rings it, joined in wait_team.  The
-    // shared bitmap hands out the indices, so concurrent masters' nodes
-    // never collide.
-    std::uint64_t pending = lease;
-    while (pending != 0) {
-      const unsigned index = lowest_bit(pending);
-      pending &= pending - 1;
-      Bell* bell = bells_[index].get();
-      const std::uint64_t cur = bell->assign.load(std::memory_order_relaxed);
-      Status s = launch_worker_with_retry(backend_, index, [this, bell, cur] {
-        worker_loop(*bell, cur, /*one_shot=*/true);
-      });
-      if (!ok(s)) {
-        OMPMCA_LOG_ERROR("pool: per-region launch %u failed", index);
-        obs::count(obs::Counter::kGompTeamDegraded);
-        lease &= ~(std::uint64_t{1} << index);
-        release_lease(std::uint64_t{1} << index);
-        continue;
-      }
-      d.per_region_.push_back(index);
-      workers_launched_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+  const std::uint64_t lease =
+      ensure_launched(lease_workers(extra, preferred_cluster));
   d.lease_ = lease;
   d.width_ = 1 + popcount64(lease);
   return d.width_;
@@ -531,9 +499,12 @@ void ThreadPool::start_team(Dispatch& d, unsigned nthreads,
   // the order graph an edge from every lock held at start_team to the pool,
   // and from the pool to every lock acquired before wait_team — so taking a
   // region-internal lock around the whole region in one place and inside it
-  // in another shows up as an inversion.  Keyed per slot so concurrent
-  // masters model distinct locks, not contention on one.
-  OMPMCA_CHECK_ACQUIRE(check::LockClass::kGompPool, &slot, 0);
+  // in another shows up as an inversion.  Keyed by nesting level, not slot:
+  // a master forking a nested team while holding its own region's
+  // pseudo-lock adds an outer -> inner edge, and slot keys would turn a
+  // later fork in the opposite slot order into a false pool -> pool cycle.
+  // Levels only ever deepen, so pool -> pool edges can never close one.
+  OMPMCA_CHECK_ACQUIRE(check::LockClass::kGompPool, &slot, d.level_);
   const std::uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
   slot.work = fn;
   slot.seq = seq;
@@ -556,31 +527,19 @@ void ThreadPool::start_team(Dispatch& d, unsigned nthreads,
   // Two-phase ring, mirroring the old ticket-then-wake split: store every
   // participant's assignment word, then run the Dekker sleeping checks.
   // The caller may start narrower than prepared; surplus leased workers
-  // stay parked (persistent) or are released by the sentinel (per-region —
-  // a one-shot worker outside the final team must still return or its
-  // backend join would hang).
+  // stay parked.
   std::uint64_t rest = d.lease_;
   std::uint64_t to_ring = 0;
-  unsigned tid = 1;
-  while (rest != 0) {
+  for (unsigned tid = 1; tid <= extra && rest != 0; ++tid) {
     const unsigned index = lowest_bit(rest);
     rest &= rest - 1;
-    Bell& bell = *bells_[index];
-    if (tid <= extra) {
-      // seq_cst: the doorbell ring itself — master half of the per-bell
-      // Dekker pair (mailbox store ordered before the sleeping load in the
-      // ring pass below).
-      bell.assign.store(
-          pack_assign(seq, static_cast<unsigned>(d.slot_), tid),
-          std::memory_order_seq_cst);
-      to_ring |= std::uint64_t{1} << index;
-      ++tid;
-    } else if (mode_ == PoolMode::kPerRegion) {
-      // seq_cst: same Dekker pair as the participant store above.
-      bell.assign.store(pack_assign(seq, kNoWorkSlot, 0),
-                        std::memory_order_seq_cst);
-      to_ring |= std::uint64_t{1} << index;
-    }
+    // seq_cst: the doorbell ring itself — master half of the per-bell
+    // Dekker pair (mailbox store ordered before the sleeping load in the
+    // ring pass below).
+    bells_[index]->assign.store(
+        pack_assign(seq, static_cast<unsigned>(d.slot_), tid),
+        std::memory_order_seq_cst);
+    to_ring |= std::uint64_t{1} << index;
   }
   if (slot.dispatch_start_ns != 0 && extra > 0) {
     // The mailbox stores above ARE the doorbell ring; stamp them with the
@@ -627,11 +586,6 @@ void ThreadPool::wait_team(Dispatch& d) {
         slot.join_waiting.store(false, std::memory_order_relaxed);
       }
     }
-    for (unsigned index : d.per_region_) {
-      // A worker that failed to launch was never registered; skip errors.
-      (void)backend_.join_thread(index);
-    }
-    d.per_region_.clear();
     // Watchdog disarm — gated on a relaxed load, not on armed(), so a
     // monitor stopped mid-region still gets its stale start cleared (a
     // later monitor would otherwise flag a long-gone region), while an
@@ -684,14 +638,6 @@ void ThreadPool::stall_probe(void* ctx, std::uint64_t now_ns,
     }
     out.push_back(r);
   }
-}
-
-void ThreadPool::run(unsigned nthreads, FunctionRef<void(unsigned)> fn) {
-  Dispatch d;
-  const unsigned actual = prepare(d, nthreads);
-  start_team(d, actual, fn);
-  fn(0);
-  wait_team(d);
 }
 
 }  // namespace ompmca::gomp

@@ -1,11 +1,13 @@
 // Worker-thread pool with multiplexed (per-dispatch mailbox) team dispatch.
 //
-// kPersistent (default): workers are launched once through the backend and
-// parked between regions — what libGOMP does, and what keeps the EPCC
-// PARALLEL overhead sane.  kPerRegion: workers are launched at region entry
-// and joined at region exit — the literal lifecycle §5B.1 describes (node
-// created at fork, finalized at join).  bench/ablation_node_mgmt measures
-// the difference.
+// The pool is the only source of workers: each is launched once through
+// the backend on first lease and parked between regions — what libGOMP
+// does, and what keeps the EPCC PARALLEL overhead sane.  (The literal
+// §5B.1 lifecycle, a node created at fork and finalized at join, lives only
+// in bench/ablation_node_mgmt, which measures what the pool is worth.)
+// Any thread can be a master, including a pool worker forking a nested
+// region from inside its team: it leases further workers exactly like a
+// concurrent top-level tenant, and degrades width the same way.
 //
 // Why multiplexed: the original pool had exactly one team slab, one ticket
 // doorbell and one join, so two application threads forking concurrently
@@ -47,8 +49,8 @@
 //    it replaces was silent cross-tenant slab corruption, which a
 //    debug-only assert cannot be trusted to catch in production.
 //
-// Under the MCA backend, either way every worker is an MRAPI node: the pool
-// calls SystemBackend::launch_thread, which routes to the Listing-2
+// Under the MCA backend every worker is an MRAPI node: the pool calls
+// SystemBackend::launch_thread, which routes to the Listing-2
 // mrapi_thread_create extension.  The worker-index bitmap doubles as the
 // node-id allocator, so concurrent masters can never collide on a node id.
 #pragma once
@@ -70,8 +72,6 @@
 #include "obs/monitor.hpp"
 
 namespace ompmca::gomp {
-
-enum class PoolMode { kPersistent, kPerRegion };
 
 /// ClusterMemory over SystemBackend::allocate_on_cluster with a free-list
 /// cache: the hierarchical barrier allocates one ClusterTier per occupied
@@ -103,27 +103,19 @@ class ClusterSlabCache final : public ClusterMemory {
   std::map<void*, std::size_t> live_ OMPMCA_GUARDED_BY(mu_);
 };
 
-/// Launches worker @p index through @p backend with the fault-injection
-/// point and the bounded retry-with-backoff policy applied: transient
-/// launch failures (fault-injected or real resource exhaustion) are retried
-/// a few times with exponential backoff before the failure is surfaced.
-/// Shared by the pool's two launch loops and the nested-team path.
-Status launch_worker_with_retry(SystemBackend& backend, unsigned index,
-                                std::function<void()> fn);
-
 class ThreadPool {
  public:
-  /// Worker-lease capacity ceiling: the free set is one 64-bit bitmap, and
-  /// pool worker ids must stay clear of the nested-team id range (128+).
+  /// Worker-lease capacity ceiling: the free set is one 64-bit bitmap.  The
+  /// MCA backend sizes each runtime's node-id block from it.
   static constexpr unsigned kMaxWorkers = 64;
-  /// Concurrently in-flight regions; claims beyond this degrade to width 1.
+  /// Concurrently in-flight regions, nested ones included; claims beyond
+  /// this degrade to width 1.
   static constexpr unsigned kMaxSlots = 16;
 
   /// One master's handle on one in-flight region: the claimed dispatch
-  /// slot, the leased worker set, and (kPerRegion) the backend thread ids
-  /// to join.  Strictly prepare -> start_team -> wait_team; any other
-  /// sequence — including destruction mid-flight — is a hard protocol
-  /// violation that aborts in every build.
+  /// slot and the leased worker set.  Strictly prepare -> start_team ->
+  /// wait_team; any other sequence — including destruction mid-flight — is
+  /// a hard protocol violation that aborts in every build.
   class Dispatch {
    public:
     Dispatch() = default;
@@ -140,23 +132,24 @@ class ThreadPool {
     int slot_ = -1;             // claimed DispatchSlot index; -1 = idle
     std::uint64_t lease_ = 0;   // leased worker-index bitmap
     unsigned width_ = 1;
+    unsigned level_ = 1;        // nesting level of the team being forked
     bool started_ = false;
-    std::vector<unsigned> per_region_;  // kPerRegion: worker ids to join
   };
 
-  ThreadPool(SystemBackend& backend, PoolMode mode,
-             WaitPolicy wait_policy = WaitPolicy::kPassive,
-             unsigned max_workers = kMaxWorkers);
+  explicit ThreadPool(SystemBackend& backend,
+                      WaitPolicy wait_policy = WaitPolicy::kPassive,
+                      unsigned max_workers = kMaxWorkers);
   ~ThreadPool();
 
   /// Region entry, phase 1: claims a dispatch slot and leases up to
-  /// @p nthreads - 1 workers into @p d (persistent: parked on their
-  /// mailboxes; per-region: freshly launched), preferring
-  /// @p preferred_cluster and spilling least-loaded-first.  Returns the
-  /// width actually achievable: launch failures and lease pressure degrade
-  /// the team instead of blocking or indexing out of bounds later.
-  unsigned prepare(Dispatch& d, unsigned nthreads,
-                   unsigned preferred_cluster = 0);
+  /// @p nthreads - 1 parked workers into @p d (launching any that never
+  /// ran), preferring @p preferred_cluster and spilling least-loaded-first.
+  /// @p level is the nesting level of the team being forked (1 = top
+  /// level).  Returns the width actually achievable: launch failures and
+  /// lease pressure degrade the team instead of blocking or indexing out of
+  /// bounds later.
+  unsigned prepare(Dispatch& d, unsigned nthreads, unsigned preferred_cluster,
+                   unsigned level);
 
   /// Region entry, phase 2: publishes @p fn in @p d's slot and rings the
   /// leased workers' mailboxes; they run fn(1..width-1).  @p nthreads must
@@ -169,14 +162,9 @@ class ThreadPool {
   /// the slot so other masters can claim them.
   void wait_team(Dispatch& d);
 
-  /// Convenience: prepare + start_team + fn(0) + wait_team.  The team may
-  /// be narrower than requested if workers failed to launch.
-  void run(unsigned nthreads, FunctionRef<void(unsigned)> fn);
-
   unsigned workers_launched() const {
     return workers_launched_.load(std::memory_order_relaxed);
   }
-  PoolMode mode() const { return mode_; }
 
   /// Installs the worker-index -> hardware-cluster map the lease policy
   /// scores candidates with (identity-cluster 0 for every worker until
@@ -198,13 +186,11 @@ class ThreadPool {
   // Mailbox layout: [seq:48][slot:8][tid:8].  The slot byte routes the
   // worker to its region's descriptor, the tid byte is its rank in that
   // team, and the globally unique seq makes every assignment distinct from
-  // whatever word the worker parked on (ABA guard).  kNoWorkSlot releases
-  // a per-region worker that ended up outside the team.
+  // whatever word the worker parked on (ABA guard).
   static constexpr unsigned kTidBits = 8;
   static constexpr unsigned kSlotBits = 8;
   static constexpr std::uint64_t kTidMask = (1u << kTidBits) - 1;
   static constexpr std::uint64_t kSlotMask = (1u << kSlotBits) - 1;
-  static constexpr unsigned kNoWorkSlot = kSlotMask;
   static unsigned assign_tid(std::uint64_t a) {
     return static_cast<unsigned>(a & kTidMask);
   }
@@ -266,7 +252,7 @@ class ThreadPool {
   // bell is passed by reference (captured at launch) so workers never
   // index the bells_ array on the hot path.  A worker's pool index is
   // irrelevant inside the loop: its team rank arrives in the mailbox word.
-  void worker_loop(Bell& bell, std::uint64_t seen, bool one_shot);
+  void worker_loop(Bell& bell, std::uint64_t seen);
   void ring(Bell& bell);
 
   /// The monitor's stall probe (runs on the sampler thread): appends every
@@ -287,13 +273,11 @@ class ThreadPool {
   /// try_lease plus the bounded OMPMCA_LEASE_WAIT_NS wait-then-degrade.
   std::uint64_t lease_workers(unsigned wanted, unsigned preferred);
   void release_lease(std::uint64_t lease);
-  /// Persistent mode: makes sure every leased worker's thread exists,
-  /// dropping (and freeing) the ones whose launch failed.  Returns the
-  /// surviving lease.
+  /// Makes sure every leased worker's thread exists, dropping (and
+  /// freeing) the ones whose launch failed.  Returns the surviving lease.
   std::uint64_t ensure_launched(std::uint64_t lease);
 
   SystemBackend& backend_;
-  PoolMode mode_;
   WaitPolicy wait_policy_;
   // Spinning only pays when the peer can make progress on another core;
   // on a single-CPU host every pause is stolen from the thread being

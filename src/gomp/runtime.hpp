@@ -41,7 +41,6 @@ struct RuntimeOptions {
   /// least-loaded) instead of scattering it board-wide.
   /// OMPMCA_NESTED_PLACEMENT=flat|bubble overrides.
   bool nested_bubble = true;
-  PoolMode pool_mode = PoolMode::kPersistent;
   /// Worker-lease capacity of the pool (clamped to ThreadPool::kMaxWorkers).
   /// Small caps make lease pressure deterministic — the concurrent-masters
   /// tests pin this to force width degradation.
@@ -63,7 +62,9 @@ class Runtime {
   // --- the fork-join core -----------------------------------------------------
   /// Runs @p body on a team of @p num_threads (0 = nthreads-var) with an
   /// implicit ending barrier.  Nested calls (from inside a region) serialize
-  /// unless nest-var is set.
+  /// unless nest-var is set; any region serializes once max-active-levels
+  /// active regions enclose it.  Every team, nested or not, leases its
+  /// workers from the one pool and may be narrower than requested.
   void parallel(FunctionRef<void(ParallelContext&)> body,
                 unsigned num_threads = 0);
 
@@ -154,9 +155,6 @@ class Runtime {
   CapMutex critical_mu_;
   std::map<std::string, std::unique_ptr<BackendMutex>> criticals_
       OMPMCA_GUARDED_BY(critical_mu_);
-
-  CapMutex nested_ids_mu_;
-  std::vector<unsigned> free_nested_ids_ OMPMCA_GUARDED_BY(nested_ids_mu_);
 
   /// The calling thread's meter slot for this runtime (Team::finish writes
   /// the finished region's meters here).

@@ -15,7 +15,6 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstring>
 #include <functional>
 #include <initializer_list>
@@ -25,8 +24,6 @@
 #include <vector>
 
 #include "common/align.hpp"
-#include "common/annotations.hpp"
-#include "common/locks.hpp"
 #include "common/function_ref.hpp"
 #include "gomp/barrier.hpp"
 #include "gomp/icv.hpp"
@@ -42,32 +39,6 @@ class Team;
 
 /// Bounded lookahead for back-to-back nowait worksharing constructs.
 inline constexpr unsigned kWorkshareRing = 4;
-
-/// Decouples nested-team worker launch from Team construction so launch
-/// failures degrade the team width instead of deadlocking its barrier.
-/// Workers are launched first and park on the gate; the master then sizes
-/// the Team to the launches that actually succeeded and arm()s the gate
-/// with the team body.  A master that aborts instead calls abandon() so
-/// parked workers exit without work.
-class TeamLaunchGate {
- public:
-  /// Worker entry point: blocks until arm() or abandon(); runs the armed
-  /// body as thread @p tid when armed.
-  void worker_main(unsigned tid) OMPMCA_EXCLUDES(mu_);
-
-  /// Publishes @p fn and releases every parked (and future) worker.
-  void arm(std::function<void(unsigned)> fn) OMPMCA_EXCLUDES(mu_);
-
-  /// Releases parked workers without running anything.
-  void abandon() OMPMCA_EXCLUDES(mu_);
-
- private:
-  CapMutex mu_;
-  std::condition_variable cv_;
-  bool ready_ OMPMCA_GUARDED_BY(mu_) = false;
-  bool abandoned_ OMPMCA_GUARDED_BY(mu_) = false;
-  std::function<void(unsigned)> fn_ OMPMCA_GUARDED_BY(mu_);
-};
 
 class ParallelContext {
  public:
@@ -189,6 +160,9 @@ class Team {
 
   /// Nesting depth: 1 for a top-level region, parent + 1 for nested ones.
   unsigned level() const { return level_; }
+  /// Enclosing active (width > 1) regions, this one included — what
+  /// max-active-levels bounds.
+  unsigned active_level() const { return active_level_; }
 
   Team(const Team&) = delete;
   Team& operator=(const Team&) = delete;
@@ -231,6 +205,7 @@ class Team {
   Runtime& rt_;
   unsigned nthreads_;
   unsigned level_;
+  unsigned active_level_;
   ParallelContext* parent_ctx_;
   // The master's data-environment ICVs at fork time: every team thread
   // inherits these for the region and discards its changes at region end

@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <string>
+#include <thread>
 
 #include "gomp/runtime.hpp"
 #include "mrapi/mutex.hpp"
@@ -535,6 +536,53 @@ TEST_F(CheckSeededTest, CleanRuntimeUsageReportsNothing) {
     ctx.critical([&] {});
     ctx.barrier();
   });
+  EXPECT_EQ(violation_count(), 0u);
+}
+
+TEST_F(CheckSeededTest, NestedForksInAlternatingSlotOrderReportNothing) {
+  // Nested regions lease from the same dispatch-slot bank as top-level
+  // ones.  Even rounds fork outer on slot 0 and inner on slot 1; odd rounds
+  // pin slot 0 with a helper master first, so outer lands on slot 1 and —
+  // once the helper leaves — inner on slot 0.  The pool pseudo-lock must
+  // not read that as a pool -> pool lock-order inversion.
+  gomp::RuntimeOptions opts;
+  opts.backend = gomp::BackendKind::kNative;
+  gomp::Icvs icvs;
+  icvs.num_threads = 2;
+  icvs.nested = true;
+  icvs.max_active_levels = 2;
+  opts.icvs = icvs;
+  gomp::Runtime rt(opts);
+
+  std::atomic<int> inner_runs{0};
+  for (int round = 0; round < 6; ++round) {
+    std::atomic<bool> helper_in{false};
+    std::atomic<bool> helper_go{false};
+    std::atomic<bool> helper_out{false};
+    std::thread helper;
+    if (round % 2 == 1) {
+      helper = std::thread([&] {
+        rt.parallel([&](gomp::ParallelContext& ctx) {
+          if (ctx.thread_num() != 0) return;
+          helper_in.store(true);
+          while (!helper_go.load()) std::this_thread::yield();
+        });
+        helper_out.store(true);
+      });
+      while (!helper_in.load()) std::this_thread::yield();
+    }
+    rt.parallel([&](gomp::ParallelContext& ctx) {
+      if (ctx.thread_num() != 0) return;
+      if (helper.joinable()) {
+        helper_go.store(true);
+        while (!helper_out.load()) std::this_thread::yield();
+      }
+      rt.parallel([&](gomp::ParallelContext&) { inner_runs.fetch_add(1); },
+                  2);
+    });
+    if (helper.joinable()) helper.join();
+  }
+  EXPECT_EQ(inner_runs.load(), 6 * 2);
   EXPECT_EQ(violation_count(), 0u);
 }
 

@@ -79,11 +79,10 @@ TEST(Syncbench, RelativeOverheadsProduceFullTable) {
   gomp::Runtime mca = make_runtime(gomp::BackendKind::kMca);
   auto cells = relative_overheads(&native, &mca, {2, 4}, quick_options());
   ASSERT_EQ(cells.size(), kAllDirectives.size() * 2);
+  // Structure only: wall-clock ratios belong to the benches, where they are
+  // repeated and reported with their spread.
   for (const auto& cell : cells) {
     EXPECT_GT(cell.ratio, 0.0) << to_string(cell.directive);
-    // On identical hardware under identical load the two runtimes must stay
-    // within an order of magnitude; tighter bounds are the bench's job.
-    EXPECT_LT(cell.ratio, 10.0) << to_string(cell.directive);
   }
 }
 

@@ -170,5 +170,15 @@ TEST(McaBackendSpecific, TwoBackendsShareOneDomain) {
   EXPECT_EQ(total.load(), 2);
 }
 
+TEST(McaBackendSpecificDeathTest, LockOnRetiredMutexAborts) {
+  // A lock() that cannot take the lock must not return: the caller would
+  // run its critical section without mutual exclusion.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto m = std::make_shared<mrapi::Mutex>();
+  ASSERT_EQ(m->retire(), Status::kSuccess);
+  McaMutex mu(m);
+  EXPECT_DEATH(mu.lock(), "mutex lock failed");
+}
+
 }  // namespace
 }  // namespace ompmca::gomp

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 
 #include "gomp/gomp.hpp"
 #include "mrapi/database.hpp"
@@ -10,12 +11,13 @@
 namespace ompmca::gomp {
 namespace {
 
-Runtime make_mca_runtime(unsigned threads, PoolMode mode) {
+Runtime make_mca_runtime(unsigned threads, bool nested = false) {
   RuntimeOptions opts;
   opts.backend = BackendKind::kMca;
-  opts.pool_mode = mode;
   Icvs icvs;
   icvs.num_threads = threads;
+  icvs.nested = nested;
+  icvs.max_active_levels = nested ? 2 : 1;
   opts.icvs = icvs;
   return Runtime(opts);
 }
@@ -28,7 +30,7 @@ std::size_t domain_node_count() {
 TEST(McaIntegration, PersistentPoolKeepsWorkerNodesRegistered) {
   std::size_t before = domain_node_count();
   {
-    Runtime rt = make_mca_runtime(4, PoolMode::kPersistent);
+    Runtime rt = make_mca_runtime(4);
     // +1: the runtime's master node.
     EXPECT_EQ(domain_node_count(), before + 1);
     rt.parallel([](ParallelContext&) {});
@@ -41,22 +43,54 @@ TEST(McaIntegration, PersistentPoolKeepsWorkerNodesRegistered) {
   EXPECT_EQ(domain_node_count(), before);
 }
 
-TEST(McaIntegration, PerRegionModeRegistersAndRetiresPerRegion) {
+TEST(McaIntegration, NodePerRegionLifecycleRegistersAndRetires) {
+  // §5B.1's literal lifecycle — a node created at fork, finalized at join —
+  // driven through the backend the way bench/ablation_node_mgmt does.
   std::size_t before = domain_node_count();
   {
-    Runtime rt = make_mca_runtime(4, PoolMode::kPerRegion);
-    std::atomic<std::size_t> inside{0};
-    rt.parallel([&](ParallelContext& ctx) {
-      ctx.master([&] { inside.store(domain_node_count()); });
-      ctx.barrier();
-    });
-    // During the region: master + 3 per-region worker nodes (§5B.1's
-    // literal lifecycle).
-    EXPECT_EQ(inside.load(), before + 4);
+    Runtime rt = make_mca_runtime(4);
+    SystemBackend& backend = rt.backend();
+    std::atomic<bool> release{false};
+    for (unsigned i = 0; i < 3; ++i) {
+      ASSERT_EQ(backend.launch_thread(i,
+                                      [&release] {
+                                        while (!release.load()) {
+                                          std::this_thread::yield();
+                                        }
+                                      }),
+                Status::kSuccess);
+    }
+    // During the "region": master + 3 worker nodes.
+    EXPECT_EQ(domain_node_count(), before + 4);
+    release.store(true);
+    for (unsigned i = 0; i < 3; ++i) {
+      EXPECT_EQ(backend.join_thread(i), Status::kSuccess);
+    }
     // After the join the workers' nodes are finalized.
     EXPECT_EQ(domain_node_count(), before + 1);
   }
   EXPECT_EQ(domain_node_count(), before);
+}
+
+TEST(McaIntegration, NestedRegionsReusePoolWorkerNodes) {
+  Runtime rt = make_mca_runtime(2, /*nested=*/true);
+  auto nested_region = [&rt] {
+    std::atomic<int> ran{0};
+    rt.parallel([&](ParallelContext&) {
+      rt.parallel([&](ParallelContext&) { ran.fetch_add(1); }, 2);
+    });
+    EXPECT_EQ(ran.load(), 4);
+  };
+  nested_region();
+  // One outer worker plus one per nested team, all parked pool nodes.
+  const unsigned launched = rt.pool().workers_launched();
+  const std::size_t nodes = domain_node_count();
+  EXPECT_EQ(launched, 3u);
+  for (int r = 1; r < 100; ++r) nested_region();
+  // Nested teams lease the same parked workers: no node is created per
+  // nested region.
+  EXPECT_EQ(rt.pool().workers_launched(), launched);
+  EXPECT_EQ(domain_node_count(), nodes);
 }
 
 TEST(McaIntegration, RuntimeAllocationsAreInvisibleAfterTeardown) {
@@ -64,7 +98,7 @@ TEST(McaIntegration, RuntimeAllocationsAreInvisibleAfterTeardown) {
   ASSERT_TRUE(d.has_value());
   std::size_t arena_before = (*d)->arena().used();
   {
-    Runtime rt = make_mca_runtime(4, PoolMode::kPersistent);
+    Runtime rt = make_mca_runtime(4);
     long sink = 0;
     rt.parallel([&](ParallelContext& ctx) {
       ctx.critical([&] { ++sink; });  // forces an MRAPI mutex creation
@@ -77,7 +111,7 @@ TEST(McaIntegration, RuntimeAllocationsAreInvisibleAfterTeardown) {
 }
 
 TEST(McaIntegration, MasterNodeUsableForApplicationResources) {
-  Runtime rt = make_mca_runtime(2, PoolMode::kPersistent);
+  Runtime rt = make_mca_runtime(2);
   auto* mca = dynamic_cast<McaBackend*>(&rt.backend());
   ASSERT_NE(mca, nullptr);
   // Applications can share the runtime's domain for their own MRAPI use.

@@ -331,14 +331,33 @@ TEST_P(RuntimeBackendTest, MetersAccumulatePerThread) {
   }
 }
 
-TEST_P(RuntimeBackendTest, PerRegionPoolModeWorks) {
-  auto opts = options_for(GetParam(), 4);
-  opts.pool_mode = PoolMode::kPerRegion;
-  Runtime rt(opts);
-  for (int r = 0; r < 5; ++r) {
-    std::atomic<int> count{0};
-    rt.parallel([&](ParallelContext&) { count.fetch_add(1); });
-    ASSERT_EQ(count.load(), 4);
+TEST_P(RuntimeBackendTest, MaxActiveLevelsBoundsNestedWidth) {
+  for (unsigned max_levels : {1u, 2u}) {
+    auto opts = options_for(GetParam(), 2);
+    opts.icvs->nested = true;
+    opts.icvs->max_active_levels = max_levels;
+    Runtime rt(opts);
+    std::atomic<int> third_level_runs{0};
+    rt.parallel([&](ParallelContext& outer) {
+      EXPECT_EQ(outer.num_threads(), 2u);
+      rt.parallel(
+          [&](ParallelContext& inner) {
+            // One active level already encloses the inner region, so it is
+            // active only when max-active-levels leaves room for a second.
+            EXPECT_EQ(inner.num_threads(), max_levels == 1 ? 1u : 2u);
+            EXPECT_EQ(inner.team().active_level(), max_levels);
+            rt.parallel(
+                [&](ParallelContext& third) {
+                  // Every level past max-active-levels serializes.
+                  EXPECT_EQ(third.num_threads(), 1u);
+                  EXPECT_EQ(third.level(), 3u);
+                  third_level_runs.fetch_add(1);
+                },
+                2);
+          },
+          2);
+    });
+    EXPECT_EQ(third_level_runs.load(), max_levels == 1 ? 2 : 4);
   }
 }
 
@@ -511,16 +530,16 @@ TEST(Runtime, ResolveNumThreadsClamps) {
   EXPECT_EQ(rt.resolve_num_threads(100), 16u);
 }
 
-/// Native backend whose nested-range (id >= 128) launches fail on demand:
-/// the probe for nested-id reclamation after launch failure.
-class NestedLaunchFailBackend final : public SystemBackend {
+/// Native backend whose worker launches fail on demand: the probe for lease
+/// reclamation after launch failure.
+class LaunchFailBackend final : public SystemBackend {
  public:
-  explicit NestedLaunchFailBackend(std::shared_ptr<std::atomic<bool>> fail)
+  explicit LaunchFailBackend(std::shared_ptr<std::atomic<bool>> fail)
       : fail_(std::move(fail)), inner_(platform::Topology::t4240rdb()) {}
 
-  std::string_view name() const override { return "nested-launch-fail"; }
+  std::string_view name() const override { return "launch-fail"; }
   Status launch_thread(unsigned index, std::function<void()> fn) override {
-    if (index >= 128 && fail_->load()) return Status::kOutOfResources;
+    if (fail_->load()) return Status::kOutOfResources;
     return inner_.launch_thread(index, std::move(fn));
   }
   Status join_thread(unsigned index) override {
@@ -538,7 +557,7 @@ class NestedLaunchFailBackend final : public SystemBackend {
   NativeBackend inner_;
 };
 
-TEST(Runtime, NestedIdsReclaimedImmediatelyOnLaunchFailure) {
+TEST(Runtime, NestedLeaseReclaimedImmediatelyOnLaunchFailure) {
   auto fail = std::make_shared<std::atomic<bool>>(false);
   RuntimeOptions opts;
   Icvs icvs;
@@ -547,22 +566,22 @@ TEST(Runtime, NestedIdsReclaimedImmediatelyOnLaunchFailure) {
   icvs.max_active_levels = 2;
   opts.icvs = icvs;
   opts.backend_factory = [fail] {
-    return std::make_unique<NestedLaunchFailBackend>(fail);
+    return std::make_unique<LaunchFailBackend>(fail);
   };
   Runtime rt(opts);
 
   rt.parallel([&](ParallelContext& ctx) {
     if (ctx.thread_num() != 0) return;
-    // Drain the whole nested-id range (128 ids) into launches that all
-    // fail: the region serializes, and every reserved id must go straight
-    // back into circulation — not sit parked until this outer region ends.
+    // Lease every remaining pool worker into launches that all fail: the
+    // region serializes, and every leased worker must go straight back to
+    // the free set — not sit leased until this outer region ends.
     fail->store(true);
     std::atomic<int> first{0};
     rt.parallel([&](ParallelContext&) { first.fetch_add(1); }, 200);
     EXPECT_EQ(first.load(), 1);
     fail->store(false);
     // Still inside the same outer region: a sibling nested team must find
-    // the ids free again and get its full width.
+    // the workers free again and get its full width.
     std::atomic<int> second{0};
     rt.parallel([&](ParallelContext&) { second.fetch_add(1); }, 3);
     EXPECT_EQ(second.load(), 3);
