@@ -1,5 +1,5 @@
-// Ablation A4: barrier algorithm choice (central vs tree vs dissemination
-// vs hierarchical) measured two ways:
+// Ablation A4: barrier algorithm choice (central vs tree vs hierarchical)
+// measured two ways:
 //   * wall clock on this host (real threads, oversubscribed — the relative
 //     ordering still reflects wakeup-chain length), with the hierarchical
 //     barrier running over a synthetic 3-cluster map, T4240-style;
@@ -33,8 +33,8 @@ using namespace ompmca;
 /// three synthetic clusters (so kHierarchical builds a real two-tier
 /// instance instead of collapsing).
 double run_wall_ns(gomp::BarrierKind kind, unsigned threads, int rounds) {
-  // kActive: a passive request would silently substitute the tree barrier
-  // for dissemination (see make_barrier), defeating the ablation.
+  // kActive: spinning waiters time the algorithm itself rather than the
+  // host's condition-variable wake-ups.
   std::vector<unsigned> cluster_of_thread(threads);
   for (unsigned i = 0; i < threads; ++i) cluster_of_thread[i] = i % 3;
   auto barrier = gomp::make_barrier(kind, threads, gomp::WaitPolicy::kActive,
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
   }
   for (gomp::BarrierKind kind :
        {gomp::BarrierKind::kCentral, gomp::BarrierKind::kTree,
-        gomp::BarrierKind::kDissemination, gomp::BarrierKind::kHierarchical}) {
+        gomp::BarrierKind::kHierarchical}) {
     if (only != gomp::BarrierKind::kAuto && kind != only) continue;
     for (unsigned n : widths) {
       const double ns = run_wall_ns(kind, n, rounds);

@@ -15,7 +15,6 @@ std::string_view to_string(BarrierKind k) {
   switch (k) {
     case BarrierKind::kCentral: return "central";
     case BarrierKind::kTree: return "tree";
-    case BarrierKind::kDissemination: return "dissemination";
     case BarrierKind::kHierarchical: return "hierarchical";
     case BarrierKind::kAuto: return "auto";
   }
@@ -25,7 +24,6 @@ std::string_view to_string(BarrierKind k) {
 bool parse_barrier_kind(std::string_view text, BarrierKind* out) {
   if (text == "central") *out = BarrierKind::kCentral;
   else if (text == "tree") *out = BarrierKind::kTree;
-  else if (text == "dissemination") *out = BarrierKind::kDissemination;
   else if (text == "hier" || text == "hierarchical")
     *out = BarrierKind::kHierarchical;
   else if (text == "auto") *out = BarrierKind::kAuto;
@@ -33,7 +31,7 @@ bool parse_barrier_kind(std::string_view text, BarrierKind* out) {
   return true;
 }
 
-BarrierKind effective_barrier_kind(BarrierKind kind, WaitPolicy policy,
+BarrierKind effective_barrier_kind(BarrierKind kind, WaitPolicy /*policy*/,
                                    unsigned clusters_spanned) {
   if (kind == BarrierKind::kAuto) {
     kind = clusters_spanned > 1 ? BarrierKind::kHierarchical
@@ -43,9 +41,6 @@ BarrierKind effective_barrier_kind(BarrierKind kind, WaitPolicy policy,
     // Degenerate: one cluster means no CoreNet hop to save; the flat
     // arity-4 tree is the same intra-cluster combining structure without
     // the top tier.
-    return BarrierKind::kTree;
-  }
-  if (kind == BarrierKind::kDissemination && policy == WaitPolicy::kPassive) {
     return BarrierKind::kTree;
   }
   return kind;
@@ -86,8 +81,6 @@ std::unique_ptr<TeamBarrier> make_barrier(BarrierKind kind, unsigned nthreads,
       return std::make_unique<CentralBarrier>(nthreads, policy);
     case BarrierKind::kTree:
       return std::make_unique<TreeBarrier>(nthreads, policy);
-    case BarrierKind::kDissemination:
-      return std::make_unique<DisseminationBarrier>(nthreads);
     case BarrierKind::kHierarchical:
       return std::make_unique<HierarchicalBarrier>(nthreads, policy,
                                                    cluster_of_thread, mem);
@@ -339,41 +332,6 @@ void HierarchicalBarrier::arrive_and_wait(unsigned tid) {
     obs::trace::complete(obs::trace::Type::kBarrierTier, t0, /*tier=*/0,
                          cluster_of_group_[g]);
   }
-}
-
-// --- DisseminationBarrier ------------------------------------------------------
-
-DisseminationBarrier::DisseminationBarrier(unsigned nthreads) : n_(nthreads) {
-  assert(nthreads >= 1);
-  rounds_ = 0;
-  while ((1u << rounds_) < n_) ++rounds_;
-  flags_.resize(n_);
-  for (auto& per_thread : flags_) {
-    per_thread.resize(2);
-    for (auto& per_parity : per_thread) {
-      per_parity = std::vector<std::atomic<bool>>(rounds_);
-      for (auto& f : per_parity) f.store(false, std::memory_order_relaxed);
-    }
-  }
-  state_.resize(n_);
-}
-
-void DisseminationBarrier::arrive_and_wait(unsigned tid) {
-  OMPMCA_CHECK_BARRIER_HELD();
-  if (n_ == 1) return;
-  ThreadState& st = *state_[tid];
-  Backoff backoff;
-  for (unsigned r = 0; r < rounds_; ++r) {
-    unsigned partner = (tid + (1u << r)) % n_;
-    flags_[partner][st.parity][r].store(st.sense, std::memory_order_release);
-    while (flags_[tid][st.parity][r].load(std::memory_order_acquire) !=
-           st.sense) {
-      backoff.pause();
-    }
-    backoff.reset();
-  }
-  if (st.parity == 1) st.sense = !st.sense;
-  st.parity ^= 1;
 }
 
 }  // namespace ompmca::gomp

@@ -2,11 +2,10 @@
 //
 // An OpenMP runtime lives and dies by its barrier; on a clustered part like
 // the T4240 the algorithm choice interacts with topology (same-core SMT
-// siblings vs cross-cluster CoreNet hops).  Four algorithms are provided
+// siblings vs cross-cluster CoreNet hops).  Three algorithms are provided
 // and compared in bench/ablation_barriers:
 //  * central       — sense-reversing counter barrier (libGOMP's shape);
 //  * tree          — arity-4 combining tree (matches the 4-core clusters);
-//  * dissemination — ceil(log2 n) rounds of pairwise signalling;
 //  * hierarchical  — two tiers matched to the machine: every thread arrives
 //    at a sense-reversal flag private to its cluster (traffic stays inside
 //    the shared L2), the last arriver of each cluster becomes that
@@ -19,13 +18,7 @@
 // Wait policy: kPassive blocks on a condition variable (right for the
 // oversubscribed reproduction host and for power-conscious embedded use);
 // kActive spins with escalating backoff (right when threads own HW threads).
-// The dissemination barrier is inherently flag-spinning — each of its
-// ceil(log2 n) rounds waits on a different per-thread flag, so there is no
-// single predicate a condition variable could park on.  Rather than let a
-// kPassive request silently burn CPU, make_barrier substitutes a
-// TreeBarrier (same O(log n) signalling depth, blockable); callers that
-// really want dissemination's spin behaviour must ask for kActive, which
-// is exactly what bench/ablation_barriers does.
+// Every algorithm supports both policies.
 #pragma once
 
 #include <atomic>
@@ -53,13 +46,12 @@ class TeamBarrier {
 /// resolves to kHierarchical when the team spans more than one cluster and
 /// to kCentral otherwise, and is never the effective kind of a constructed
 /// barrier.
-enum class BarrierKind { kCentral, kTree, kDissemination, kHierarchical,
-                         kAuto };
+enum class BarrierKind { kCentral, kTree, kHierarchical, kAuto };
 
 std::string_view to_string(BarrierKind k);
 
-/// Parses a barrier-kind name ("central", "tree", "dissemination", "hier"
-/// or "hierarchical", "auto") — the OMPMCA_BARRIER environment knob.
+/// Parses a barrier-kind name ("central", "tree", "hier" or
+/// "hierarchical", "auto") — the OMPMCA_BARRIER environment knob.
 bool parse_barrier_kind(std::string_view text, BarrierKind* out);
 
 /// Cluster-local storage hook for barrier state.  acquire() returns a
@@ -74,7 +66,6 @@ class ClusterMemory {
 };
 
 /// The algorithm make_barrier actually instantiates for a request.
-/// (kDissemination, kPassive) falls back to kTree (see above);
 /// @p clusters_spanned resolves the topology-dependent kinds: kAuto picks
 /// kHierarchical for >1-cluster teams and kCentral otherwise, and a
 /// kHierarchical request on a single-cluster team collapses to the flat
@@ -190,26 +181,6 @@ class HierarchicalBarrier final : public TeamBarrier {
   // phase), so the releaser's write equals every waiter's expectation.
   std::vector<Padded<bool>> local_sense_;
   alignas(kCacheLineBytes) std::atomic<unsigned> top_count_{0};
-};
-
-class DisseminationBarrier final : public TeamBarrier {
- public:
-  explicit DisseminationBarrier(unsigned nthreads);
-
-  void arrive_and_wait(unsigned tid) override;
-  unsigned size() const override { return n_; }
-
- private:
-  struct ThreadState {
-    unsigned parity = 0;
-    bool sense = true;
-  };
-
-  unsigned n_;
-  unsigned rounds_;
-  // flags_[tid][parity][round]
-  std::vector<std::vector<std::vector<std::atomic<bool>>>> flags_;
-  std::vector<Padded<ThreadState>> state_;
 };
 
 }  // namespace ompmca::gomp

@@ -28,8 +28,6 @@ obs::Hist barrier_wait_hist(BarrierKind k) {
   switch (k) {
     case BarrierKind::kCentral: return obs::Hist::kGompBarrierWaitCentralNs;
     case BarrierKind::kTree: return obs::Hist::kGompBarrierWaitTreeNs;
-    case BarrierKind::kDissemination:
-      return obs::Hist::kGompBarrierWaitDisseminationNs;
     case BarrierKind::kHierarchical:
       return obs::Hist::kGompBarrierWaitHierarchicalNs;
     case BarrierKind::kAuto:

@@ -146,4 +146,9 @@ bool Rwlock::write_locked() const {
   return writer_active_;
 }
 
+std::uint32_t Rwlock::waiting_writers() const {
+  MutexLock lk(mu_);
+  return waiting_writers_;
+}
+
 }  // namespace ompmca::mrapi

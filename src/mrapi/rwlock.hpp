@@ -38,6 +38,7 @@ class Rwlock {
 
   std::uint32_t readers() const OMPMCA_EXCLUDES(mu_);
   bool write_locked() const OMPMCA_EXCLUDES(mu_);
+  std::uint32_t waiting_writers() const OMPMCA_EXCLUDES(mu_);
 
  private:
   RwlockAttributes attrs_;

@@ -102,8 +102,6 @@ std::string_view name(Hist h) {
     case Hist::kGompBarrierWaitCentralNs:
       return "gomp.barrier_wait.central_ns";
     case Hist::kGompBarrierWaitTreeNs: return "gomp.barrier_wait.tree_ns";
-    case Hist::kGompBarrierWaitDisseminationNs:
-      return "gomp.barrier_wait.dissemination_ns";
     case Hist::kGompBarrierWaitHierarchicalNs:
       return "gomp.barrier_wait.hierarchical_ns";
     case Hist::kGompPoolDispatchNs: return "gomp.pool_dispatch_ns";

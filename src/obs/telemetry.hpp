@@ -106,7 +106,6 @@ enum class Hist : unsigned {
   kGompReductionNs,
   kGompBarrierWaitCentralNs,
   kGompBarrierWaitTreeNs,
-  kGompBarrierWaitDisseminationNs,
   kGompBarrierWaitHierarchicalNs,
   kGompPoolDispatchNs,
   kGompDoorbellWakeNs,  // doorbell ring -> worker starts the region body

@@ -322,8 +322,7 @@ std::string_view barrier_kind_name(std::uint64_t k) {
   switch (k) {
     case 0: return "central";
     case 1: return "tree";
-    case 2: return "dissemination";
-    case 3: return "hierarchical";
+    case 2: return "hierarchical";
     default: return "?";
   }
 }

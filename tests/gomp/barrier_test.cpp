@@ -61,8 +61,7 @@ TEST_P(BarrierParamTest, SeparatesPhases) {
 std::vector<BarrierCase> all_cases() {
   std::vector<BarrierCase> cases;
   for (BarrierKind kind :
-       {BarrierKind::kCentral, BarrierKind::kTree, BarrierKind::kDissemination,
-        BarrierKind::kHierarchical}) {
+       {BarrierKind::kCentral, BarrierKind::kTree, BarrierKind::kHierarchical}) {
     for (WaitPolicy policy : {WaitPolicy::kPassive, WaitPolicy::kActive}) {
       for (unsigned n : {1u, 2u, 3u, 4u, 7u, 8u, 13u, 24u}) {
         cases.push_back({kind, policy, n});
@@ -83,8 +82,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Barrier, SingleThreadIsNoOp) {
   for (BarrierKind kind :
-       {BarrierKind::kCentral, BarrierKind::kTree, BarrierKind::kDissemination,
-        BarrierKind::kHierarchical}) {
+       {BarrierKind::kCentral, BarrierKind::kTree, BarrierKind::kHierarchical}) {
     auto b = make_barrier(kind, 1, WaitPolicy::kPassive);
     for (int i = 0; i < 100; ++i) b->arrive_and_wait(0);  // must not hang
   }
@@ -93,7 +91,6 @@ TEST(Barrier, SingleThreadIsNoOp) {
 TEST(Barrier, KindNames) {
   EXPECT_EQ(to_string(BarrierKind::kCentral), "central");
   EXPECT_EQ(to_string(BarrierKind::kTree), "tree");
-  EXPECT_EQ(to_string(BarrierKind::kDissemination), "dissemination");
   EXPECT_EQ(to_string(BarrierKind::kHierarchical), "hierarchical");
   EXPECT_EQ(to_string(BarrierKind::kAuto), "auto");
 }
@@ -104,40 +101,19 @@ TEST(Barrier, ParseKindRoundTrips) {
   EXPECT_EQ(k, BarrierKind::kCentral);
   ASSERT_TRUE(parse_barrier_kind("tree", &k));
   EXPECT_EQ(k, BarrierKind::kTree);
-  ASSERT_TRUE(parse_barrier_kind("dissemination", &k));
-  EXPECT_EQ(k, BarrierKind::kDissemination);
   ASSERT_TRUE(parse_barrier_kind("hier", &k));
   EXPECT_EQ(k, BarrierKind::kHierarchical);
   ASSERT_TRUE(parse_barrier_kind("hierarchical", &k));
   EXPECT_EQ(k, BarrierKind::kHierarchical);
   ASSERT_TRUE(parse_barrier_kind("auto", &k));
   EXPECT_EQ(k, BarrierKind::kAuto);
+  EXPECT_FALSE(parse_barrier_kind("dissemination", &k));
   EXPECT_FALSE(parse_barrier_kind("bogus", &k));
   EXPECT_FALSE(parse_barrier_kind("", &k));
 }
 
 TEST(TreeBarrier, ArityMatchesClusterWidth) {
   EXPECT_EQ(TreeBarrier::kArity, 4u);
-}
-
-// Dissemination is inherently flag-spinning; a passive-policy request must
-// get a blockable algorithm (the tree barrier) instead of a silent spin.
-TEST(Barrier, PassiveDisseminationFallsBackToTree) {
-  EXPECT_EQ(
-      effective_barrier_kind(BarrierKind::kDissemination, WaitPolicy::kPassive),
-      BarrierKind::kTree);
-  EXPECT_EQ(
-      effective_barrier_kind(BarrierKind::kDissemination, WaitPolicy::kActive),
-      BarrierKind::kDissemination);
-  EXPECT_EQ(effective_barrier_kind(BarrierKind::kCentral, WaitPolicy::kPassive),
-            BarrierKind::kCentral);
-
-  auto passive =
-      make_barrier(BarrierKind::kDissemination, 4, WaitPolicy::kPassive);
-  EXPECT_NE(dynamic_cast<TreeBarrier*>(passive.get()), nullptr);
-  auto active =
-      make_barrier(BarrierKind::kDissemination, 4, WaitPolicy::kActive);
-  EXPECT_NE(dynamic_cast<DisseminationBarrier*>(active.get()), nullptr);
 }
 
 // kAuto is a request-only value: it resolves to hierarchical exactly when

@@ -363,8 +363,8 @@ TEST_P(RuntimeBackendTest, MaxActiveLevelsBoundsNestedWidth) {
 
 TEST_P(RuntimeBackendTest, AllBarrierAlgorithmsWorkEndToEnd) {
   for (BarrierKind kind :
-       {BarrierKind::kCentral, BarrierKind::kTree, BarrierKind::kDissemination,
-        BarrierKind::kHierarchical, BarrierKind::kAuto}) {
+       {BarrierKind::kCentral, BarrierKind::kTree, BarrierKind::kHierarchical,
+        BarrierKind::kAuto}) {
     auto opts = options_for(GetParam(), 6);
     opts.barrier = kind;
     Runtime rt(opts);

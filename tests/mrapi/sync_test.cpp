@@ -216,17 +216,11 @@ TEST(Rwlock, WriterNotStarvedByReaderStream) {
     writer_done.store(true);
     (void)rw.unlock_write();
   });
-  // Give the writer time to queue, then try to read: must be refused
-  // (writer preference) while a writer waits.
-  for (int i = 0; i < 100 && !writer_done.load(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    if (rw.lock_read(kTimeoutImmediate) == Status::kSuccess) {
-      // Only possible once the writer has been served.
-      EXPECT_TRUE(writer_done.load());
-      (void)rw.unlock_read();
-      break;
-    }
-  }
+  // Wait until the writer has queued behind our read lock; from then on a
+  // new reader must be refused (writer preference).
+  while (rw.waiting_writers() == 0) std::this_thread::yield();
+  EXPECT_EQ(rw.lock_read(kTimeoutImmediate), Status::kRwlLocked);
+  EXPECT_FALSE(writer_done.load());
   (void)rw.unlock_read();
   writer.join();
   EXPECT_TRUE(writer_done.load());
