@@ -43,6 +43,13 @@ cmake --build build-tsan -j
 # hier kind forced.
 ./build-tsan/bench/ablation_barriers --quick --kind=hier >/dev/null
 echo "hierarchical barrier ablation: clean under TSan"
+# The spin-then-park wait paths (parked barrier waiters woken by a late
+# arriver, a parked join, a region forked after the workers' spin window,
+# tasks spawned after the peers took the task-free barrier exit), repeated:
+# their races are timing windows one pass can miss.
+./build-tsan/tests/gomp/gomp_test --gtest_filter='*WaitPath*:*LateArriver*' \
+  --gtest_repeat=20 >/dev/null
+echo "wait paths (20 repeats): clean under TSan"
 
 echo "== [3/13] ASan+UBSan, all suites =="
 cmake -B build-asan -S . -DOMPMCA_WERROR=ON -DOMPMCA_ASAN=ON
@@ -59,6 +66,10 @@ cmake --build build-check -j
 # Same hierarchical-barrier run under the lockdep/lifecycle hooks.
 OMPMCA_CHECK_ABORT=1 ./build-check/bench/ablation_barriers --quick --kind=hier >/dev/null
 echo "hierarchical barrier ablation: clean under checker"
+# Same repeated wait-path run under the lockdep/lifecycle hooks.
+OMPMCA_CHECK_ABORT=1 ./build-check/tests/gomp/gomp_test \
+  --gtest_filter='*WaitPath*:*LateArriver*' --gtest_repeat=20 >/dev/null
+echo "wait paths (20 repeats): clean under checker"
 
 echo "== [5/13] fault injection (OMPMCA_FAULT=ON + OMPMCA_CHECK=ON), all suites =="
 # Compiles the injection points and recovery policies in and runs the whole

@@ -4,7 +4,6 @@
 #include <new>
 
 #include "check/check.hpp"
-#include "common/spin.hpp"
 #include "common/time.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -98,7 +97,7 @@ std::unique_ptr<TeamBarrier> make_barrier(BarrierKind kind, unsigned nthreads,
 // --- CentralBarrier ----------------------------------------------------------
 
 CentralBarrier::CentralBarrier(unsigned nthreads, WaitPolicy policy)
-    : n_(nthreads), policy_(policy) {
+    : n_(nthreads), spin_ns_(spin_window_ns(policy, nthreads)) {
   assert(nthreads >= 1);
 }
 
@@ -107,35 +106,22 @@ void CentralBarrier::arrive_and_wait(unsigned /*tid*/) {
   const bool my_sense = !sense_.load(std::memory_order_relaxed);
   if (count_.fetch_add(1, std::memory_order_acq_rel) + 1 == n_) {
     count_.store(0, std::memory_order_relaxed);
-    if (policy_ == WaitPolicy::kPassive) {
-      {
-        // The store must happen under the mutex or a waiter could check the
-        // predicate between its load and its sleep and miss the notify.
-        MutexLock lk(mu_);
-        sense_.store(my_sense, std::memory_order_release);
-      }
-      cv_.notify_all();
-    } else {
-      sense_.store(my_sense, std::memory_order_release);
-    }
+    // seq_cst: releaser half of the Parker's Dekker pair (the sense store
+    // precedes wake()'s sleeper check).
+    sense_.store(my_sense, std::memory_order_seq_cst);
+    parker_.wake();
     return;
   }
-  if (policy_ == WaitPolicy::kPassive) {
-    MutexLock lk(mu_);
-    lk.wait(cv_, [&] {
-      return sense_.load(std::memory_order_acquire) == my_sense;
-    });
-  } else {
-    Backoff backoff;
-    while (sense_.load(std::memory_order_acquire) != my_sense)
-      backoff.pause();
-  }
+  spin_then_park(spin_ns_, parker_, [&] {
+    // seq_cst: the re-check half of the Parker's Dekker pair.
+    return sense_.load(std::memory_order_seq_cst) == my_sense;
+  });
 }
 
 // --- TreeBarrier -------------------------------------------------------------
 
 TreeBarrier::TreeBarrier(unsigned nthreads, WaitPolicy policy)
-    : n_(nthreads), policy_(policy) {
+    : n_(nthreads), spin_ns_(spin_window_ns(policy, nthreads)) {
   assert(nthreads >= 1);
   // Build leaves over groups of kArity threads, then combine upward.
   unsigned num_leaves = (n_ + kArity - 1) / kArity;
@@ -196,27 +182,15 @@ void TreeBarrier::arrive_and_wait(unsigned tid) {
 
   if (winner) {
     // Reached past the root: release everyone.
-    if (policy_ == WaitPolicy::kPassive) {
-      {
-        MutexLock lk(mu_);
-        sense_.store(my_sense, std::memory_order_release);
-      }
-      cv_.notify_all();
-    } else {
-      sense_.store(my_sense, std::memory_order_release);
-    }
+    // seq_cst: releaser half of the Parker's Dekker pair.
+    sense_.store(my_sense, std::memory_order_seq_cst);
+    parker_.wake();
     return;
   }
-  if (policy_ == WaitPolicy::kPassive) {
-    MutexLock lk(mu_);
-    lk.wait(cv_, [&] {
-      return sense_.load(std::memory_order_acquire) == my_sense;
-    });
-  } else {
-    Backoff backoff;
-    while (sense_.load(std::memory_order_acquire) != my_sense)
-      backoff.pause();
-  }
+  spin_then_park(spin_ns_, parker_, [&] {
+    // seq_cst: the re-check half of the Parker's Dekker pair.
+    return sense_.load(std::memory_order_seq_cst) == my_sense;
+  });
 }
 
 // --- HierarchicalBarrier -----------------------------------------------------
@@ -224,7 +198,7 @@ void TreeBarrier::arrive_and_wait(unsigned tid) {
 HierarchicalBarrier::HierarchicalBarrier(unsigned nthreads, WaitPolicy policy,
                                          const unsigned* cluster_of_thread,
                                          ClusterMemory* mem)
-    : n_(nthreads), policy_(policy), mem_(mem) {
+    : n_(nthreads), spin_ns_(spin_window_ns(policy, nthreads)), mem_(mem) {
   assert(nthreads >= 1);
   group_of_thread_.resize(n_);
   // Dense group indices in first-appearance order, so group 0 is the
@@ -290,17 +264,9 @@ void HierarchicalBarrier::arrive_and_wait(unsigned tid) {
       top_count_.store(0, std::memory_order_relaxed);
       for (unsigned r = 0; r < ngroups; ++r) {
         ClusterTier& rt = *groups_[r];
-        if (policy_ == WaitPolicy::kPassive) {
-          {
-            // Store under the mutex so no waiter can check the predicate
-            // between its load and its sleep and miss the notify.
-            MutexLock lk(rt.mu);
-            rt.sense.store(my_sense, std::memory_order_release);
-          }
-          rt.cv.notify_all();
-        } else {
-          rt.sense.store(my_sense, std::memory_order_release);
-        }
+        // seq_cst: releaser half of each tier Parker's Dekker pair.
+        rt.sense.store(my_sense, std::memory_order_seq_cst);
+        rt.parker.wake();
       }
       if (tracing) {
         obs::trace::complete(obs::trace::Type::kBarrierTier, t0, /*tier=*/1,
@@ -318,16 +284,10 @@ void HierarchicalBarrier::arrive_and_wait(unsigned tid) {
     obs::count(obs::Counter::kGompBarrierLocal);
   }
 
-  if (policy_ == WaitPolicy::kPassive) {
-    MutexLock lk(tier.mu);
-    lk.wait(tier.cv, [&] {
-      return tier.sense.load(std::memory_order_acquire) == my_sense;
-    });
-  } else {
-    Backoff backoff;
-    while (tier.sense.load(std::memory_order_acquire) != my_sense)
-      backoff.pause();
-  }
+  spin_then_park(spin_ns_, tier.parker, [&] {
+    // seq_cst: the re-check half of the tier Parker's Dekker pair.
+    return tier.sense.load(std::memory_order_seq_cst) == my_sense;
+  });
   if (tracing && arrived + 1 != tier.expected) {
     obs::trace::complete(obs::trace::Type::kBarrierTier, t0, /*tier=*/0,
                          cluster_of_group_[g]);

@@ -15,22 +15,23 @@
 //    instead of O(n) — the gomp.barrier_local / gomp.barrier_xcluster
 //    counters witness exactly that drop.
 //
-// Wait policy: kPassive blocks on a condition variable (right for the
-// oversubscribed reproduction host and for power-conscious embedded use);
-// kActive spins with escalating backoff (right when threads own HW threads).
-// Every algorithm supports both policies.
+// Waiting: every algorithm waits through gomp/wait.hpp's spin_then_park,
+// with a spin window resolved once at construction from the wait policy
+// and the team width (zero — park at once — under OMP_WAIT_POLICY=passive
+// and for teams wider than the host's online CPUs).  The releaser stores
+// the new sense seq_cst and wakes only when a waiter actually parked, so a
+// barrier whose threads all caught the release spinning costs no syscall.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "common/align.hpp"
-#include "common/annotations.hpp"
-#include "common/locks.hpp"
 #include "gomp/icv.hpp"
+#include "gomp/wait.hpp"
 
 namespace ompmca::gomp {
 
@@ -101,12 +102,10 @@ class CentralBarrier final : public TeamBarrier {
 
  private:
   unsigned n_;
-  WaitPolicy policy_;
+  std::uint64_t spin_ns_;
   std::atomic<unsigned> count_{0};
   std::atomic<bool> sense_{false};
-  // Parking-only (guards nothing): the barrier state is count_/sense_.
-  CapMutex mu_;
-  std::condition_variable cv_;
+  Parker parker_;
 };
 
 class TreeBarrier final : public TeamBarrier {
@@ -126,15 +125,13 @@ class TreeBarrier final : public TeamBarrier {
   };
 
   unsigned n_;
-  WaitPolicy policy_;
+  std::uint64_t spin_ns_;
   // unique_ptr array: TreeNode holds an atomic and cannot be moved, which
   // rules out std::vector storage.
   std::unique_ptr<Padded<TreeNode>[]> nodes_;
   std::vector<unsigned> leaf_of_thread_;
   std::atomic<bool> sense_{false};
-  // Parking-only (guards nothing): the barrier state is nodes_/sense_.
-  CapMutex mu_;
-  std::condition_variable cv_;
+  Parker parker_;
 };
 
 /// The two-tier topology-aware barrier.  Per occupied cluster one padded
@@ -142,7 +139,8 @@ class TreeBarrier final : public TeamBarrier {
 /// supplied — inside that cluster's modeled L2 domain; the top tier is a
 /// single counter over cluster leaders.  Release runs top-down: the final
 /// leader flips every cluster's sense, and each thread only ever waits on
-/// its own cluster's flag, so the spin/park line is cluster-local.
+/// its own cluster's flag, so the spin line and parking spot are
+/// cluster-local.
 class HierarchicalBarrier final : public TeamBarrier {
  public:
   /// @p cluster_of_thread maps tid -> hardware cluster id (nthreads
@@ -165,13 +163,11 @@ class HierarchicalBarrier final : public TeamBarrier {
     std::atomic<unsigned> count{0};
     unsigned expected = 0;
     std::atomic<bool> sense{false};
-    // Parking-only (guards nothing): the tier state is count/sense.
-    CapMutex mu;
-    std::condition_variable cv;
+    Parker parker;
   };
 
   unsigned n_;
-  WaitPolicy policy_;
+  std::uint64_t spin_ns_;
   ClusterMemory* mem_;
   std::vector<unsigned> group_of_thread_;  // tid -> dense group index
   std::vector<unsigned> cluster_of_group_;  // dense group -> hw cluster id

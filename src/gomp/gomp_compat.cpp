@@ -105,11 +105,11 @@ void GOMP_parallel(void (*fn)(void*), void* data, unsigned num_threads) {
 void GOMP_barrier() { current_ctx().barrier(); }
 
 void GOMP_critical_start() {
-  gomp_compat_runtime().critical_mutex("").lock();
+  gomp_compat_runtime().unnamed_critical_mutex().lock();
 }
 
 void GOMP_critical_end() {
-  gomp_compat_runtime().critical_mutex("").unlock();
+  gomp_compat_runtime().unnamed_critical_mutex().unlock();
 }
 
 void GOMP_critical_name_start(void** pptr) {

@@ -63,12 +63,13 @@ Icvs Icvs::from_env(unsigned default_threads) {
       levels && *levels > 0) {
     icvs.max_active_levels = static_cast<unsigned>(*levels);
   } else if (icvs.nested) {
-    icvs.max_active_levels = 8;
+    icvs.max_active_levels = kMaxSupportedActiveLevels;
   }
   if (auto s = env_string("OMP_SCHEDULE")) {
     (void)parse_schedule(*s, &icvs.run_schedule);  // bad env keeps default
   }
   if (auto w = env_string("OMP_WAIT_POLICY")) {
+    // Any other value keeps the unset default, like libgomp.
     if (iequals(*w, "active")) icvs.wait_policy = WaitPolicy::kActive;
     if (iequals(*w, "passive")) icvs.wait_policy = WaitPolicy::kPassive;
   }

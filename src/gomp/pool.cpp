@@ -86,7 +86,6 @@ ThreadPool::ThreadPool(SystemBackend& backend, WaitPolicy wait_policy,
                        unsigned max_workers)
     : backend_(backend),
       wait_policy_(wait_policy),
-      can_spin_(std::thread::hardware_concurrency() > 1),
       max_workers_(std::min(max_workers, kMaxWorkers)),
       slots_free_((1u << kMaxSlots) - 1),
       workers_free_(max_workers_ >= 64 ? ~std::uint64_t{0}
@@ -111,15 +110,10 @@ ThreadPool::~ThreadPool() {
   // Before any teardown: unregister blocks until an in-progress probe
   // returns, so the monitor can never walk a dying pool's slots.
   obs::monitor::unregister_stall_source(this);
-  // seq_cst: pairs with each bell's sleeping/mailbox Dekker protocol — the
-  // exit flag must be globally ordered against the workers' park sequence.
+  // seq_cst: pairs with each bell Parker's Dekker protocol — the exit flag
+  // must be globally ordered against the workers' park sequence.
   exit_.store(true, std::memory_order_seq_cst);
-  for (auto& bell : bells_) {
-    // Empty critical section: flushes out a worker caught between its
-    // predicate check and its actual sleep (lost-wakeup guard).
-    { MutexLock lk(bell->mu); }
-    bell->cv.notify_one();
-  }
+  for (auto& bell : bells_) bell->parker.wake();
   const std::uint64_t launched = launched_mask_.load(std::memory_order_relaxed);
   for (unsigned i = 0; i < max_workers_; ++i) {
     if ((launched & (std::uint64_t{1} << i)) != 0) {
@@ -203,62 +197,21 @@ ThreadPool::Dispatch::~Dispatch() {
                     "Dispatch destroyed while its region is in flight");
 }
 
-int ThreadPool::spin_budget() const {
-  // Active waits burn a long Backoff budget before sleeping (threads own a
-  // HW thread on the board).  Passive waits stay strictly below Backoff's
-  // yield threshold: a few dozen relaxes catch back-to-back regions, then
-  // the worker parks without ever calling sched_yield — on an
-  // oversubscribed host yield-spinning only churns the run queue that the
-  // master needs.  A single-CPU host never spins at all: the mailbox cannot
-  // change while we hold the only core.
-  if (wait_policy_ == WaitPolicy::kActive) return 20000;
-  return can_spin_ ? 48 : 0;
-}
-
-void ThreadPool::ring(Bell& bell) {
-  // Targeted ring: only this dispatch's leased workers, and among those
-  // only the ones that actually sleep — a worker still inside its spin
-  // window costs no syscall at all.  Dekker pair per bell: the master's
-  // seq_cst mailbox store is ordered before this sleeping load; the worker
-  // stores sleeping (seq_cst) before re-checking its mailbox.  Either we
-  // see the sleeper, or it sees the new word — never neither.
-  // seq_cst: the Dekker load of the pair described above.
-  if (bell.sleeping.load(std::memory_order_seq_cst)) {
-    // Empty critical section: a worker between its predicate check and its
-    // actual sleep holds bell.mu, so this lock flushes it out before the
-    // notify — the classic lost-wakeup guard.
-    { MutexLock lk(bell.mu); }
-    bell.cv.notify_one();
-  }
-}
-
 void ThreadPool::worker_loop(Bell& bell, std::uint64_t seen) {
+  // The mailbox spin window for the next wait, and when this worker last
+  // went idle (0 = never served a region).  A worker spins only once a
+  // region came back within its team's window of the previous one; until
+  // then — fresh, or idle past the window — it parks at once.
+  std::uint64_t spin_ns = 0;
+  std::uint64_t idle_since = 0;
   for (;;) {
-    std::uint64_t a = bell.assign.load(std::memory_order_acquire);
-    if (a == seen && !exit_.load(std::memory_order_relaxed)) {
-      Backoff backoff;
-      int budget = spin_budget();
-      while ((a = bell.assign.load(std::memory_order_acquire)) == seen &&
-             !exit_.load(std::memory_order_relaxed) && budget-- > 0) {
-        backoff.pause();
-      }
-      if (a == seen && !exit_.load(std::memory_order_relaxed)) {
-        // seq_cst: worker half of the Dekker pair — sleeping store ordered
-        // before the mailbox/exit re-check; the master's mailbox store is
-        // ordered before its sleeping load.
-        bell.sleeping.store(true, std::memory_order_seq_cst);
-        {
-          MutexLock lk(bell.mu);
-          lk.wait(bell.cv, [&] {
-            // seq_cst: the re-check half of the Dekker pair above.
-            return bell.assign.load(std::memory_order_seq_cst) != seen ||
-                   exit_.load(std::memory_order_seq_cst);
-          });
-        }
-        bell.sleeping.store(false, std::memory_order_relaxed);
-        a = bell.assign.load(std::memory_order_acquire);
-      }
-    }
+    std::uint64_t a = seen;
+    spin_then_park(spin_ns, bell.parker, [&] {
+      // seq_cst: worker half of the bell Parker's Dekker pair — the master
+      // stores the mailbox (or exit_) seq_cst before its sleeper check.
+      a = bell.assign.load(std::memory_order_seq_cst);
+      return a != seen || exit_.load(std::memory_order_seq_cst);
+    });
     if (exit_.load(std::memory_order_acquire)) return;
     seen = a;
     // A leased worker's mailbox changes at most once per lease: the next
@@ -266,10 +219,14 @@ void ThreadPool::worker_loop(Bell& bell, std::uint64_t seen) {
     // So every observed word is exactly one region to serve.
     DispatchSlot& slot = slots_[assign_slot(a)];
     const unsigned tid = assign_tid(a);
+    const std::uint64_t now = monotonic_nanos();
+    // Read before the join decrement below: the slot belongs to the next
+    // master after that.
+    const std::uint64_t team_spin_ns = slot.spin_ns;
+    const bool hot = idle_since != 0 && now - idle_since <= team_spin_ns;
     if (slot.dispatch_start_ns != 0) {
       // dispatch_start_ns is armed by start_team when telemetry or tracing
-      // is on; both consumers share the single clock read.
-      const std::uint64_t now = monotonic_nanos();
+      // is on; both consumers reuse the wake timestamp above.
       if (obs::enabled()) {
         const std::uint64_t wake_ns = now - slot.dispatch_start_ns;
         obs::count(obs::Counter::kGompPoolDispatch);
@@ -292,15 +249,14 @@ void ThreadPool::worker_loop(Bell& bell, std::uint64_t seen) {
       slot.work(tid);
     }
     if (hb) bell.heartbeat.fetch_add(1, std::memory_order_relaxed);
-    // seq_cst: Dekker pair with wait_team — the decrement is ordered before
-    // the join_waiting load, the master's join_waiting store before its
-    // active re-check.  Only the last finisher — and only when the master
-    // actually sleeps — pays for a notify.
-    if (slot.active.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
-        slot.join_waiting.load(std::memory_order_seq_cst)) {
-      { MutexLock lk(slot.done_mu); }
-      slot.done_cv.notify_one();
+    spin_ns = hot ? team_spin_ns : 0;
+    // seq_cst: waker half of the slot Parker's Dekker pair with wait_team.
+    // Only the last finisher — and only when the master actually sleeps —
+    // pays for a notify.
+    if (slot.active.fetch_sub(1, std::memory_order_seq_cst) == 1) {
+      slot.done.wake();
     }
+    idle_since = monotonic_nanos();
   }
 }
 
@@ -511,6 +467,7 @@ void ThreadPool::start_team(Dispatch& d, unsigned nthreads,
   slot.dispatch_start_ns =
       (obs::enabled() || obs::trace::enabled()) ? monotonic_nanos() : 0;
   slot.active.store(extra, std::memory_order_relaxed);
+  slot.spin_ns = spin_window_ns(wait_policy_, nthreads);
   if (obs::monitor::armed()) {
     // Watchdog arm: mirrors first, then the start timestamp (release,
     // paired with the probe's acquire) so a probe that sees the region
@@ -547,10 +504,12 @@ void ThreadPool::start_team(Dispatch& d, unsigned nthreads,
     obs::trace::instant_at(obs::trace::Type::kForkRing,
                            slot.dispatch_start_ns, seq, extra + 1);
   }
+  // Targeted ring: only the participants that actually sleep pay for a
+  // wake — a worker still inside its spin window costs no syscall.
   while (to_ring != 0) {
     const unsigned index = lowest_bit(to_ring);
     to_ring &= to_ring - 1;
-    ring(*bells_[index]);
+    bells_[index]->parker.wake();
   }
 }
 
@@ -561,30 +520,12 @@ void ThreadPool::wait_team(Dispatch& d) {
     DispatchSlot& slot = slots_[static_cast<unsigned>(d.slot_)];
     if (slot.active.load(std::memory_order_acquire) != 0) {
       obs::trace::Span join_span(obs::trace::Type::kJoinWait, slot.seq);
-      // The region-ending barrier already synchronised the team, so only
-      // the workers' post-barrier teardown is outstanding.  Relax-spin
-      // briefly (no yields), then block on the slot's done_cv — the spin
-      // catches the common case on real cores, the block keeps an
-      // oversubscribed host from burning the timeslice the last worker
-      // needs.
-      const int join_spins = can_spin_ ? 256 : 0;
-      for (int i = 0; i < join_spins; ++i) {
-        if (slot.active.load(std::memory_order_acquire) == 0) break;
-        cpu_relax();
-      }
-      if (slot.active.load(std::memory_order_acquire) != 0) {
-        // seq_cst: master half of the join Dekker pair — join_waiting
-        // store ordered before the active re-check in the wait predicate.
-        slot.join_waiting.store(true, std::memory_order_seq_cst);
-        {
-          MutexLock lk(slot.done_mu);
-          lk.wait(slot.done_cv, [&] {
-            // seq_cst: the re-check half of the join Dekker pair.
-            return slot.active.load(std::memory_order_seq_cst) == 0;
-          });
-        }
-        slot.join_waiting.store(false, std::memory_order_relaxed);
-      }
+      // The join is the region's end rendezvous: the workers' own region
+      // tails (body imbalance, task drain) are what is outstanding.
+      spin_then_park(slot.spin_ns, slot.done, [&] {
+        // seq_cst: master half of the slot Parker's Dekker pair.
+        return slot.active.load(std::memory_order_seq_cst) == 0;
+      });
     }
     // Watchdog disarm — gated on a relaxed load, not on armed(), so a
     // monitor stopped mid-region still gets its stale start cleared (a

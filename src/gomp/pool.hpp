@@ -31,19 +31,21 @@
 //    masters never touch each other's descriptors.  The global seq makes
 //    every assignment distinct (no ABA against a parked worker's last
 //    word).
-//  * Workers spin-then-block on their own mailbox (spin budget from
-//    WaitPolicy; the passive budget stays below Backoff's yield threshold
-//    so an oversubscribed host never churns the scheduler).  A worker that
-//    must sleep parks on its cache-line-padded bell and advertises it in
-//    bell.sleeping, so a master wakes exactly the sleeping participants.
-//    Each bell's sleeping/assignment pair is a Dekker-style store-then-load
-//    on both sides (all seq_cst), so a ring can never be missed.
-//  * Join: each participant decrements the slot's active count; the master
-//    relax-spins briefly — the region-ending team barrier has already
-//    synchronised the team, so only post-barrier teardown is outstanding —
-//    then falls back to blocking on the slot's done_cv (the last worker
-//    notifies only when join_waiting says the master actually sleeps).
-//    wait_team then returns the lease and the slot to their bitmaps.
+//  * Workers wait on their own mailbox with spin_then_park (gomp/wait.hpp)
+//    and park on their cache-line-padded bell's Parker, so a master's ring
+//    pays a futex wake only for participants that actually sleep; the
+//    mailbox store and the Parker's sleeper count form a Dekker pair (all
+//    seq_cst), so a ring can never be missed.  The spin window is the
+//    team's (start_team resolves it from the wait policy and the width),
+//    and a worker uses it only when its previous region came back within
+//    that window: a fresh worker, or one idle for longer than the window,
+//    parks at once — spinning then only steals the CPU the master needs to
+//    launch the other workers or do its serial work.
+//  * Join: each participant drains its tasks and decrements the slot's
+//    active count; the master waits for zero with spin_then_park on the
+//    slot's Parker (the last worker wakes it only when it actually
+//    sleeps).  wait_team then returns the lease and the slot to their
+//    bitmaps.
 //  * Misusing the Dispatch handle (start before prepare, double start,
 //    destroying an in-flight dispatch) aborts in every build — the failure
 //    it replaces was silent cross-tenant slab corruption, which a
@@ -56,7 +58,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -69,6 +70,7 @@
 #include "gomp/backend.hpp"
 #include "gomp/barrier.hpp"
 #include "gomp/icv.hpp"
+#include "gomp/wait.hpp"
 #include "obs/monitor.hpp"
 
 namespace ompmca::gomp {
@@ -137,7 +139,7 @@ class ThreadPool {
   };
 
   explicit ThreadPool(SystemBackend& backend,
-                      WaitPolicy wait_policy = WaitPolicy::kPassive,
+                      WaitPolicy wait_policy = WaitPolicy::kDefault,
                       unsigned max_workers = kMaxWorkers);
   ~ThreadPool();
 
@@ -216,8 +218,8 @@ class ThreadPool {
     FunctionRef<void(unsigned)> work;
     std::uint64_t dispatch_start_ns = 0;  // telemetry; 0 = untimed
     std::uint64_t seq = 0;                // trace flow-arrow key
+    std::uint64_t spin_ns = 0;            // the team's spin window
     std::atomic<unsigned> active{0};
-    std::atomic<bool> join_waiting{false};
     // Watchdog mirrors, written only when the monitor is armed.  The
     // monitor thread reads them with no other synchronisation, so unlike
     // the fields above they must be atomic: mon_start_ns is the arm flag
@@ -228,19 +230,14 @@ class ThreadPool {
     std::atomic<std::uint64_t> mon_seq{0};
     std::atomic<std::uint64_t> mon_master{0};  // tenant id
     std::atomic<std::uint64_t> mon_lease{0};   // leased worker bitmap
-    // Parking-only (guards nothing): the join state is active/join_waiting.
-    CapMutex done_mu;
-    std::condition_variable done_cv;
+    Parker done;  // the master parks here for the join
   };
 
   // Per-worker mailbox + parking spot.  The assignment word carries the
-  // information; the bell only carries the *sleeping* worker, so rings stay
-  // targeted.  The mutex guards no data — it exists purely to park on (the
-  // classic cv-parking shape); all state lives in the atomics.
+  // information; the Parker only knows whether the worker sleeps, so
+  // rings stay targeted.
   struct alignas(kCacheLineBytes) Bell {
-    CapMutex mu;
-    std::condition_variable cv;
-    std::atomic<bool> sleeping{false};
+    Parker parker;
     std::atomic<std::uint64_t> assign{0};
     // Watchdog heartbeat epoch, bumped (monitor armed only) entering and
     // leaving the region body: odd = inside slot.work right now.  Lives on
@@ -248,12 +245,10 @@ class ThreadPool {
     std::atomic<std::uint64_t> heartbeat{0};
   };
 
-  int spin_budget() const;
   // bell is passed by reference (captured at launch) so workers never
   // index the bells_ array on the hot path.  A worker's pool index is
   // irrelevant inside the loop: its team rank arrives in the mailbox word.
   void worker_loop(Bell& bell, std::uint64_t seen);
-  void ring(Bell& bell);
 
   /// The monitor's stall probe (runs on the sampler thread): appends every
   /// slot whose mon_start_ns is older than @p stall_ns, with the leased
@@ -279,10 +274,6 @@ class ThreadPool {
 
   SystemBackend& backend_;
   WaitPolicy wait_policy_;
-  // Spinning only pays when the peer can make progress on another core;
-  // on a single-CPU host every pause is stolen from the thread being
-  // waited for, so all spin windows collapse to zero there.
-  bool can_spin_;
   unsigned max_workers_;
   std::uint64_t lease_wait_ns_;
 

@@ -127,6 +127,7 @@ Runtime::Runtime(RuntimeOptions opts)
   // Environment knobs override the option defaults (both are runtime-tuning
   // switches, same spirit as OMP_WAIT_POLICY).
   nested_bubble_ = opts_.nested_bubble;
+  task_tuning_ = TaskTuning::from_env();
   if (const char* env = std::getenv("OMPMCA_BARRIER")) {
     BarrierKind kind;
     if (parse_barrier_kind(env, &kind)) {
@@ -190,7 +191,7 @@ EnvIcvs Runtime::env_icvs() const {
   for (const EnvEntry& e : env_overrides()) {
     if (e.serial == serial_) return e.icvs;
   }
-  return EnvIcvs{icvs_.num_threads, icvs_.nested};
+  return EnvIcvs{icvs_.num_threads, icvs_.nested, icvs_.max_active_levels};
 }
 
 void Runtime::set_env_num_threads(unsigned n) {
@@ -201,17 +202,23 @@ void Runtime::set_env_num_threads(unsigned n) {
       return;
     }
   }
-  env_overrides().push_back({serial_, EnvIcvs{n, icvs_.nested}});
+  env_overrides().push_back(
+      {serial_, EnvIcvs{n, icvs_.nested, icvs_.max_active_levels}});
 }
 
 void Runtime::set_env_nested(bool nested) {
+  // OpenMP 5.0: true raises max-active-levels to the supported maximum,
+  // false drops it to 1 — in the same data environment as nest-var.
+  const unsigned levels = nested ? kMaxSupportedActiveLevels : 1;
   for (EnvEntry& e : env_overrides()) {
     if (e.serial == serial_) {
       e.icvs.nested = nested;
+      e.icvs.max_active_levels = levels;
       return;
     }
   }
-  env_overrides().push_back({serial_, EnvIcvs{icvs_.num_threads, nested}});
+  env_overrides().push_back(
+      {serial_, EnvIcvs{icvs_.num_threads, nested, levels}});
 }
 
 const std::vector<platform::Work>& Runtime::last_region_meters() const {
@@ -263,6 +270,19 @@ BackendMutex& Runtime::critical_mutex(const std::string& name) {
   return *it->second;
 }
 
+BackendMutex& Runtime::unnamed_critical_mutex() {
+  // acquire: pairs with the release publish below — a reader that sees
+  // the pointer sees the constructed mutex.
+  if (BackendMutex* mu = unnamed_critical_.load(std::memory_order_acquire)) {
+    return *mu;
+  }
+  // Racing first entries all get the one registry entry, so any of them
+  // may publish it.
+  BackendMutex& mu = critical_mutex("");
+  unnamed_critical_.store(&mu, std::memory_order_release);
+  return mu;
+}
+
 ParallelContext* Runtime::current() { return t_current_; }
 
 void Runtime::parallel(FunctionRef<void(ParallelContext&)> body,
@@ -280,8 +300,8 @@ void Runtime::parallel(FunctionRef<void(ParallelContext&)> body,
   // A nested region is active only under nest-var, and no region is once
   // max-active-levels active regions enclose it.
   const unsigned enclosing_active = nested ? outer->team().active_level() : 0;
-  if ((nested && !env_icvs().nested) ||
-      enclosing_active >= icvs_.max_active_levels) {
+  const EnvIcvs env = env_icvs();
+  if ((nested && !env.nested) || enclosing_active >= env.max_active_levels) {
     n = 1;
   }
 

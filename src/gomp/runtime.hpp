@@ -84,6 +84,8 @@ class Runtime {
   /// Per-cluster load accounting behind nested-team bubble placement.
   platform::ClusterOccupancy& occupancy() { return *occupancy_; }
   bool nested_bubble() const { return nested_bubble_; }
+  /// Task-scheduler knobs, parsed once at construction.
+  const TaskTuning& task_tuning() const { return task_tuning_; }
 
   unsigned max_threads() const { return env_icvs().num_threads; }
 
@@ -117,6 +119,9 @@ class Runtime {
   /// Mutex backing critical(@p name); created through the backend on first
   /// use (Listing 4's gomp_mutex path).
   BackendMutex& critical_mutex(const std::string& name);
+  /// critical_mutex("") without the registry: created on first use, then
+  /// published, so later entries cost one load.
+  BackendMutex& unnamed_critical_mutex();
 
   /// The calling thread's innermost ParallelContext, or nullptr outside any
   /// region (this is what the omp_* shims in api.hpp read).
@@ -155,6 +160,9 @@ class Runtime {
   CapMutex critical_mu_;
   std::map<std::string, std::unique_ptr<BackendMutex>> criticals_
       OMPMCA_GUARDED_BY(critical_mu_);
+  // criticals_[""], published once it exists (owned by the map).
+  std::atomic<BackendMutex*> unnamed_critical_{nullptr};
+  TaskTuning task_tuning_;
 
   /// The calling thread's meter slot for this runtime (Team::finish writes
   /// the finished region's meters here).

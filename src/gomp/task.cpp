@@ -26,19 +26,27 @@ TaskSystem::~TaskSystem() {
   }
 }
 
-void TaskSystem::configure(unsigned nthreads, const unsigned* cluster_of_thread) {
+TaskTuning TaskTuning::from_env() {
+  TaskTuning t;
+  t.spin = env_long_clamped("OMPMCA_TASK_SPIN", 0, 1'000'000).value_or(t.spin);
+  t.taskloop_grain = env_long_clamped("OMPMCA_TASKLOOP_GRAIN", 0, 1L << 30)
+                         .value_or(t.taskloop_grain);
+  t.taskloop_tasks_per_thread =
+      env_long_clamped("OMPMCA_TASKLOOP_TASKS_PER_THREAD", 1, 4096)
+          .value_or(t.taskloop_tasks_per_thread);
+  return t;
+}
+
+void TaskSystem::configure(unsigned nthreads, const unsigned* cluster_of_thread,
+                           const TaskTuning& tuning) {
   nthreads_ = nthreads > 0 ? nthreads : 1;
   cluster_of_thread_ = cluster_of_thread;
+  tuning_ = tuning;
   deques_.clear();
   deques_.reserve(nthreads_);
   for (unsigned i = 0; i < nthreads_; ++i) {
     deques_.push_back(std::make_unique<TaskDeque>());
   }
-  spin_ = env_long_clamped("OMPMCA_TASK_SPIN", 0, 1'000'000).value_or(100);
-  taskloop_grain_ =
-      env_long_clamped("OMPMCA_TASKLOOP_GRAIN", 0, 1L << 30).value_or(0);
-  taskloop_tasks_per_thread_ =
-      env_long_clamped("OMPMCA_TASKLOOP_TASKS_PER_THREAD", 1, 4096).value_or(8);
 }
 
 Task* TaskSystem::make_implicit() { return new Task(); }
@@ -155,7 +163,7 @@ void TaskSystem::spawn_depend(unsigned tid, Task* parent,
         idle = 0;
         continue;
       }
-      if (++idle <= spin_) {
+      if (++idle <= tuning_.spin) {
         std::this_thread::yield();
         continue;
       }
@@ -229,12 +237,12 @@ void TaskSystem::taskloop(unsigned tid, Task** current_slot, long begin,
     return;
   }
   const long n = end - begin;
-  long g = grain > 0 ? grain : taskloop_grain_;
+  long g = grain > 0 ? grain : tuning_.taskloop_grain;
   if (g <= 0) {
     // Adaptive grain from the queue-depth signal: aim for tasks_per_thread
     // chunks per worker, minus the backlog already queued.
     const long target_total =
-        taskloop_tasks_per_thread_ * static_cast<long>(nthreads_);
+        tuning_.taskloop_tasks_per_thread * static_cast<long>(nthreads_);
     const long backlog = static_cast<long>(queued());
     const long target = std::max<long>(1, target_total - backlog);
     g = std::max<long>(1, (n + target - 1) / target);
@@ -415,7 +423,7 @@ void TaskSystem::taskwait(unsigned tid, Task** current_slot) {
     }
     // seq_cst: see loop header.
     if (waiting_on->live_children.load(std::memory_order_seq_cst) == 0) break;
-    if (++idle <= spin_) {
+    if (++idle <= tuning_.spin) {
       std::this_thread::yield();
       continue;
     }
@@ -435,7 +443,7 @@ void TaskSystem::group_wait(unsigned tid, TaskGroup* group,
     }
     // seq_cst: see loop header.
     if (group->live_tasks.load(std::memory_order_seq_cst) == 0) break;
-    if (++idle <= spin_) {
+    if (++idle <= tuning_.spin) {
       std::this_thread::yield();
       continue;
     }
@@ -444,6 +452,11 @@ void TaskSystem::group_wait(unsigned tid, TaskGroup* group,
 }
 
 void TaskSystem::drain(unsigned tid, Task** current_slot) {
+  // No task ever enqueued in this team (see the header): skip the
+  // quiescence proof — its executing_ RMWs and steal sweep are most of a
+  // task-free barrier.  relaxed: a stale zero is harmless, because only a
+  // thread that enqueued has work to wait for, and it reads its own bump.
+  if (progress_.load(std::memory_order_relaxed) == 0) return;
   long idle = 0;
   for (;;) {
     if (run_one(tid, current_slot)) {
@@ -462,7 +475,7 @@ void TaskSystem::drain(unsigned tid, Task** current_slot) {
         progress_.load(std::memory_order_seq_cst) == e) {
       return;
     }
-    if (++idle <= spin_) {
+    if (++idle <= tuning_.spin) {
       std::this_thread::yield();
       continue;
     }

@@ -70,6 +70,16 @@ struct Task {
   }
 };
 
+/// Task-scheduler knobs, read from the environment once per Runtime (not
+/// per team: a fork must not pay for getenv).
+struct TaskTuning {
+  long spin = 100;           // OMPMCA_TASK_SPIN: idle spins before parking
+  long taskloop_grain = 0;   // OMPMCA_TASKLOOP_GRAIN: fixed grain, 0=adaptive
+  long taskloop_tasks_per_thread = 8;  // OMPMCA_TASKLOOP_TASKS_PER_THREAD
+
+  static TaskTuning from_env();
+};
+
 class TaskSystem {
  public:
   TaskSystem();
@@ -78,10 +88,12 @@ class TaskSystem {
   TaskSystem(const TaskSystem&) = delete;
   TaskSystem& operator=(const TaskSystem&) = delete;
 
-  /// Sizes the per-worker deques and adopts the team's thread->cluster map
-  /// (borrowed; may be nullptr for no cluster structure).  Call before any
-  /// spawn, from single-threaded context (Team construction).
-  void configure(unsigned nthreads, const unsigned* cluster_of_thread);
+  /// Sizes the per-worker deques, adopts the team's thread->cluster map
+  /// (borrowed; may be nullptr for no cluster structure) and the runtime's
+  /// @p tuning.  Call before any spawn, from single-threaded context (Team
+  /// construction).
+  void configure(unsigned nthreads, const unsigned* cluster_of_thread,
+                 const TaskTuning& tuning = {});
 
   /// A thread's implicit-task record: carries the live-children count that
   /// taskwait consults and the active taskgroup for children.  The caller
@@ -125,7 +137,10 @@ class TaskSystem {
 
   /// Runs tasks until the whole system is quiescent: every deque empty and
   /// no task executing anywhere (used by barriers; also the point after
-  /// which all dependence edges are resolved).
+  /// which all dependence edges are resolved).  Returns at once while no
+  /// task was ever enqueued: every thread that enqueues one sees its own
+  /// progress bump and drains to quiescence before it arrives, so the
+  /// barrier still holds everyone until that task has run.
   void drain(unsigned tid, Task** current_slot);
 
   /// Racy estimate of queued-but-unstarted tasks across all deques.
@@ -171,10 +186,7 @@ class TaskSystem {
   std::unordered_map<const void*, DepAddr> dep_table_
       OMPMCA_GUARDED_BY(deps_mu_);
 
-  // Tuning (read from the environment in configure()).
-  long spin_ = 100;          // OMPMCA_TASK_SPIN: idle spins before parking
-  long taskloop_grain_ = 0;  // OMPMCA_TASKLOOP_GRAIN: fixed grain, 0=adaptive
-  long taskloop_tasks_per_thread_ = 8;  // OMPMCA_TASKLOOP_TASKS_PER_THREAD
+  TaskTuning tuning_;
 };
 
 /// RAII for a taskgroup-shaped region (taskgroup construct, taskloop's

@@ -122,7 +122,7 @@ Team::Team(Runtime& rt, unsigned nthreads, ParallelContext* parent_ctx)
   }
   // The task deques steal in the same cluster-first victim order as the
   // loop scheduler; hand them the thread->cluster map just built.
-  tasks_.configure(nthreads_, cluster_of_thread_.data());
+  tasks_.configure(nthreads_, cluster_of_thread_.data(), rt.task_tuning());
 }
 
 Team::~Team() {
@@ -383,12 +383,17 @@ void ParallelContext::master(FunctionRef<void()> fn) {
 }
 
 void ParallelContext::critical(FunctionRef<void()> fn) {
-  critical("", fn);
+  run_critical(team_->rt_.unnamed_critical_mutex(), "", fn);
 }
 
 void ParallelContext::critical(std::string_view name,
                                FunctionRef<void()> fn) {
-  BackendMutex& mu = team_->rt_.critical_mutex(std::string(name));
+  run_critical(team_->rt_.critical_mutex(std::string(name)), name, fn);
+}
+
+void ParallelContext::run_critical(BackendMutex& mu,
+                                   [[maybe_unused]] std::string_view name,
+                                   FunctionRef<void()> fn) {
   obs::trace::Span span(obs::trace::Type::kCritical);  // acquire + body
   if (obs::enabled()) {
     obs::count(obs::Counter::kGompCritical);

@@ -34,6 +34,7 @@
 
 namespace ompmca::gomp {
 
+class BackendMutex;
 class Runtime;
 class Team;
 
@@ -142,6 +143,11 @@ class ParallelContext {
 
  private:
   friend class Team;
+  /// critical() body around an already-resolved mutex (@p name keys the
+  /// checker's order graph).
+  void run_critical(BackendMutex& mu, std::string_view name,
+                    FunctionRef<void()> fn);
+
   Team* team_ = nullptr;
   unsigned tid_ = 0;
   unsigned long loop_gen_ = 0;

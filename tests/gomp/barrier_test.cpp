@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <new>
 #include <thread>
 #include <vector>
@@ -58,11 +59,58 @@ TEST_P(BarrierParamTest, SeparatesPhases) {
   EXPECT_EQ(arrivals.load(), kPhases * static_cast<int>(c.nthreads));
 }
 
+// One thread arrives long after its peers' spin window ran out, so they
+// are parked: its arrival must wake every one of them, in every phase.
+TEST_P(BarrierParamTest, LateArriverReleasesParkedWaiters) {
+  const BarrierCase c = GetParam();
+  std::vector<unsigned> cluster_of_thread(c.nthreads);
+  for (unsigned i = 0; i < c.nthreads; ++i) cluster_of_thread[i] = i % 3;
+  auto barrier =
+      make_barrier(c.kind, c.nthreads, c.policy, cluster_of_thread.data());
+  const auto late = std::chrono::microseconds(
+      spin_window_ns(c.policy, c.nthreads) / 1000 + 2000);
+
+  constexpr int kPhases = 2;
+  std::atomic<int> arrivals{0};
+  std::atomic<bool> violation{false};
+  auto worker = [&](unsigned tid) {
+    for (int phase = 0; phase < kPhases; ++phase) {
+      // A different thread is the late one each phase (the releaser role
+      // and the parked set both move).
+      if (tid == static_cast<unsigned>(phase) % c.nthreads) {
+        std::this_thread::sleep_for(late);
+      }
+      arrivals.fetch_add(1, std::memory_order_acq_rel);
+      barrier->arrive_and_wait(tid);
+      if (arrivals.load(std::memory_order_acquire) <
+          (phase + 1) * static_cast<int>(c.nthreads)) {
+        violation.store(true);
+      }
+      barrier->arrive_and_wait(tid);
+    }
+  };
+  std::vector<std::thread> threads;
+  for (unsigned t = 1; t < c.nthreads; ++t) threads.emplace_back(worker, t);
+  worker(0);
+  for (auto& t : threads) t.join();
+  EXPECT_FALSE(violation.load());
+}
+
+const char* policy_name(WaitPolicy p) {
+  switch (p) {
+    case WaitPolicy::kPassive: return "passive";
+    case WaitPolicy::kActive: return "active";
+    case WaitPolicy::kDefault: return "default";
+  }
+  return "?";
+}
+
 std::vector<BarrierCase> all_cases() {
   std::vector<BarrierCase> cases;
   for (BarrierKind kind :
        {BarrierKind::kCentral, BarrierKind::kTree, BarrierKind::kHierarchical}) {
-    for (WaitPolicy policy : {WaitPolicy::kPassive, WaitPolicy::kActive}) {
+    for (WaitPolicy policy :
+         {WaitPolicy::kPassive, WaitPolicy::kActive, WaitPolicy::kDefault}) {
       for (unsigned n : {1u, 2u, 3u, 4u, 7u, 8u, 13u, 24u}) {
         cases.push_back({kind, policy, n});
       }
@@ -75,9 +123,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllAlgorithms, BarrierParamTest, ::testing::ValuesIn(all_cases()),
     [](const ::testing::TestParamInfo<BarrierCase>& param_info) {
       const auto& c = param_info.param;
-      return std::string(to_string(c.kind)) + "_" +
-             (c.policy == WaitPolicy::kPassive ? "passive" : "active") + "_" +
-             std::to_string(c.nthreads);
+      return std::string(to_string(c.kind)) + "_" + policy_name(c.policy) +
+             "_" + std::to_string(c.nthreads);
     });
 
 TEST(Barrier, SingleThreadIsNoOp) {

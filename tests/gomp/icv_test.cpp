@@ -24,7 +24,9 @@ TEST_F(IcvEnvTest, DefaultsFromProcessorCount) {
   EXPECT_EQ(icvs.num_threads, 24u);
   EXPECT_FALSE(icvs.dynamic_threads);
   EXPECT_FALSE(icvs.nested);
-  EXPECT_EQ(icvs.wait_policy, WaitPolicy::kPassive);
+  // OMP_WAIT_POLICY unset is its own state (spin a short window, then
+  // park), not passive.
+  EXPECT_EQ(icvs.wait_policy, WaitPolicy::kDefault);
 }
 
 TEST_F(IcvEnvTest, OmpNumThreadsWins) {
@@ -58,6 +60,16 @@ TEST_F(IcvEnvTest, ScheduleParsed) {
 TEST_F(IcvEnvTest, WaitPolicyActive) {
   set("OMP_WAIT_POLICY", "ACTIVE");
   EXPECT_EQ(Icvs::from_env(4).wait_policy, WaitPolicy::kActive);
+}
+
+TEST_F(IcvEnvTest, WaitPolicyPassive) {
+  set("OMP_WAIT_POLICY", "passive");
+  EXPECT_EQ(Icvs::from_env(4).wait_policy, WaitPolicy::kPassive);
+}
+
+TEST_F(IcvEnvTest, UnknownWaitPolicyKeepsDefault) {
+  set("OMP_WAIT_POLICY", "sometimes");
+  EXPECT_EQ(Icvs::from_env(4).wait_policy, WaitPolicy::kDefault);
 }
 
 TEST_F(IcvEnvTest, ThreadLimitClampsNumThreads) {

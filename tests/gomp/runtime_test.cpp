@@ -361,6 +361,53 @@ TEST_P(RuntimeBackendTest, MaxActiveLevelsBoundsNestedWidth) {
   }
 }
 
+// OpenMP 5.0 omp_set_nested: true raises max-active-levels to the
+// supported maximum, false drops it to 1, in the caller's data environment
+// (nothing set OMP_NESTED or OMP_MAX_ACTIVE_LEVELS here).
+TEST_P(RuntimeBackendTest, SetNestedAtRunTimeActivatesInnerRegions) {
+  Runtime rt(options_for(GetParam(), 2));
+  ASSERT_EQ(rt.env_icvs().max_active_levels, 1u);
+  omp_set_nested(rt, true);
+  EXPECT_EQ(rt.env_icvs().max_active_levels, kMaxSupportedActiveLevels);
+  std::atomic<unsigned> max_inner{0};
+  rt.parallel([&](ParallelContext&) {
+    rt.parallel(
+        [&](ParallelContext& inner) {
+          unsigned prev = max_inner.load();
+          while (prev < inner.num_threads() &&
+                 !max_inner.compare_exchange_weak(prev, inner.num_threads())) {
+          }
+        },
+        2);
+  });
+  EXPECT_EQ(max_inner.load(), 2u);
+
+  omp_set_nested(rt, false);
+  EXPECT_EQ(rt.env_icvs().max_active_levels, 1u);
+  max_inner = 0;
+  rt.parallel([&](ParallelContext&) {
+    rt.parallel([&](ParallelContext& inner) { max_inner = inner.num_threads(); },
+                2);
+  });
+  EXPECT_EQ(max_inner.load(), 1u);
+
+  // From inside a region: only the calling thread's environment changes,
+  // and its nested teams inherit it.
+  std::atomic<unsigned> widths[2] = {0u, 0u};
+  rt.parallel([&](ParallelContext& outer) {
+    if (outer.thread_num() == 1) omp_set_nested(rt, true);
+    rt.parallel(
+        [&](ParallelContext& inner) {
+          if (inner.thread_num() == 0) {
+            widths[outer.thread_num()] = inner.num_threads();
+          }
+        },
+        2);
+  });
+  EXPECT_EQ(widths[0].load(), 1u);
+  EXPECT_EQ(widths[1].load(), 2u);
+}
+
 TEST_P(RuntimeBackendTest, AllBarrierAlgorithmsWorkEndToEnd) {
   for (BarrierKind kind :
        {BarrierKind::kCentral, BarrierKind::kTree, BarrierKind::kHierarchical,
