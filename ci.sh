@@ -24,20 +24,14 @@ cd "$(dirname "$0")"
 echo "== [1/13] normal build + ctest =="
 cmake -B build -S . -DOMPMCA_WERROR=ON -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
 cmake --build build -j
-# Serial on purpose: epcc_test asserts on measured timings, which parallel
-# test load can flip.
-(cd build && ctest --output-on-failure)
+(cd build && ctest --output-on-failure -j)
 
 echo "== [2/13] ThreadSanitizer, all suites =="
 # Race-check everything, not just the gomp hot paths: the MRAPI database,
 # arena and DMA engine carry their own lock-free fast paths.
 cmake -B build-tsan -S . -DOMPMCA_WERROR=ON -DOMPMCA_TSAN=ON
 cmake --build build-tsan -j
-# epcc_test is excluded: it asserts on measured overhead ratios, and TSan's
-# ~10x slowdown plus its scheduler shifts them past the tolerances.  Every
-# synchronisation path it exercises is already covered by gomp_test and
-# validation_test under TSan.
-(cd build-tsan && ctest --output-on-failure -E '^epcc_test$')
+(cd build-tsan && ctest --output-on-failure)
 # The hierarchical barrier's two-tier release protocol (per-cluster sense
 # flips + top-tier combine) gets a dedicated race check: real threads, the
 # hier kind forced.
@@ -50,11 +44,17 @@ echo "hierarchical barrier ablation: clean under TSan"
 ./build-tsan/tests/gomp/gomp_test --gtest_filter='*WaitPath*:*LateArriver*' \
   --gtest_repeat=20 >/dev/null
 echo "wait paths (20 repeats): clean under TSan"
+# The workshare ring claim (first arriver's CAS, peers waiting on its
+# publication, threads a ring ahead parked on a draining slot) and the hot
+# teams reused across forks, repeated for the same reason.
+./build-tsan/tests/gomp/gomp_test --gtest_filter='*LoopClaim*:*HotTeam*' \
+  --gtest_repeat=20 >/dev/null
+echo "loop claims and hot teams (20 repeats): clean under TSan"
 
 echo "== [3/13] ASan+UBSan, all suites =="
 cmake -B build-asan -S . -DOMPMCA_WERROR=ON -DOMPMCA_ASAN=ON
 cmake --build build-asan -j
-(cd build-asan && ctest --output-on-failure -E '^epcc_test$')
+(cd build-asan && ctest --output-on-failure)
 
 echo "== [4/13] correctness checker (OMPMCA_CHECK=ON), all suites =="
 # The check build compiles the lockdep/lifecycle/usage hooks in; check_test
@@ -70,6 +70,9 @@ echo "hierarchical barrier ablation: clean under checker"
 OMPMCA_CHECK_ABORT=1 ./build-check/tests/gomp/gomp_test \
   --gtest_filter='*WaitPath*:*LateArriver*' --gtest_repeat=20 >/dev/null
 echo "wait paths (20 repeats): clean under checker"
+OMPMCA_CHECK_ABORT=1 ./build-check/tests/gomp/gomp_test \
+  --gtest_filter='*LoopClaim*:*HotTeam*' --gtest_repeat=20 >/dev/null
+echo "loop claims and hot teams (20 repeats): clean under checker"
 
 echo "== [5/13] fault injection (OMPMCA_FAULT=ON + OMPMCA_CHECK=ON), all suites =="
 # Compiles the injection points and recovery policies in and runs the whole

@@ -2,11 +2,13 @@
 
 #include <cassert>
 #include <cstdio>
+#include <cstdlib>
 #include <mutex>
 
 #include "common/annotations.hpp"
 #include "common/env.hpp"
 #include "common/locks.hpp"
+#include "common/log.hpp"
 #include "gomp/api.hpp"
 
 namespace ompmca::gomp::compat {
@@ -37,19 +39,26 @@ ParallelContext& current_ctx() {
   return *ctx;
 }
 
+/// Always-on ABI guard: a loop start with incr == 0 used to return false
+/// without opening a loop, and the GOMP_loop_end the compiler emits after
+/// it then dereferenced a null descriptor in release builds.
+[[noreturn]] void abi_misuse_abort(const char* what) {
+  OMPMCA_LOG_ERROR("gomp: loop ABI misuse: %s", what);
+  std::abort();
+}
+
 /// Normalizes a GOMP (start, end, incr) triple to iteration counts.
 struct NormalizedLoop {
   long begin;   // iteration-space begin (always 0)
   long count;   // iterations
   long start;   // original start
   long incr;
-  bool valid;
 };
 
 NormalizedLoop normalize(long start, long end, long incr) {
-  NormalizedLoop n{0, 0, start, incr, true};
+  NormalizedLoop n{0, 0, start, incr};
   if (incr == 0) {
-    n.valid = false;
+    abi_misuse_abort("loop start with incr == 0");
   } else if (incr > 0) {
     n.count = start < end ? (end - start + incr - 1) / incr : 0;
   } else {
@@ -59,7 +68,7 @@ NormalizedLoop normalize(long start, long end, long incr) {
 }
 
 // Per-thread mapping of the open GOMP loop back to original indices.
-thread_local NormalizedLoop t_open_loop{0, 0, 0, 1, false};
+thread_local NormalizedLoop t_open_loop{0, 0, 0, 1};
 
 bool denormalize(bool got, long nlo, long nhi, long* istart, long* iend) {
   if (!got) return false;
@@ -130,7 +139,6 @@ bool GOMP_single_start() { return current_ctx().single_begin(); }
 bool GOMP_loop_static_start(long start, long end, long incr, long chunk,
                             long* istart, long* iend) {
   NormalizedLoop n = normalize(start, end, incr);
-  if (!n.valid) return false;
   t_open_loop = n;
   long nlo = 0, nhi = 0;
   bool got = current_ctx().loop_start(
@@ -147,7 +155,6 @@ bool GOMP_loop_static_next(long* istart, long* iend) {
 bool GOMP_loop_dynamic_start(long start, long end, long incr, long chunk,
                              long* istart, long* iend) {
   NormalizedLoop n = normalize(start, end, incr);
-  if (!n.valid) return false;
   t_open_loop = n;
   long nlo = 0, nhi = 0;
   bool got = current_ctx().loop_start(

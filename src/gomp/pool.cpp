@@ -513,28 +513,30 @@ void ThreadPool::start_team(Dispatch& d, unsigned nthreads,
   }
 }
 
-void ThreadPool::wait_team(Dispatch& d) {
+void ThreadPool::wait_team(Dispatch& d, FunctionRef<void()> on_joined) {
   OMPMCA_POOL_GUARD(d.pool_ == this && d.started_,
                     "wait_team() without a matching start_team()");
-  if (d.slot_ >= 0) {
-    DispatchSlot& slot = slots_[static_cast<unsigned>(d.slot_)];
-    if (slot.active.load(std::memory_order_acquire) != 0) {
-      obs::trace::Span join_span(obs::trace::Type::kJoinWait, slot.seq);
-      // The join is the region's end rendezvous: the workers' own region
-      // tails (body imbalance, task drain) are what is outstanding.
-      spin_then_park(slot.spin_ns, slot.done, [&] {
-        // seq_cst: master half of the slot Parker's Dekker pair.
-        return slot.active.load(std::memory_order_seq_cst) == 0;
-      });
-    }
+  DispatchSlot* slot =
+      d.slot_ >= 0 ? &slots_[static_cast<unsigned>(d.slot_)] : nullptr;
+  if (slot != nullptr && slot->active.load(std::memory_order_acquire) != 0) {
+    obs::trace::Span join_span(obs::trace::Type::kJoinWait, slot->seq);
+    // The join is the region's end rendezvous: the workers' own region
+    // tails (body imbalance, task drain) are what is outstanding.
+    spin_then_park(slot->spin_ns, slot->done, [&] {
+      // seq_cst: master half of the slot Parker's Dekker pair.
+      return slot->active.load(std::memory_order_seq_cst) == 0;
+    });
+  }
+  if (on_joined) on_joined();
+  if (slot != nullptr) {
     // Watchdog disarm — gated on a relaxed load, not on armed(), so a
     // monitor stopped mid-region still gets its stale start cleared (a
     // later monitor would otherwise flag a long-gone region), while an
     // unmonitored run pays exactly one relaxed load here.
-    if (slot.mon_start_ns.load(std::memory_order_relaxed) != 0) {
-      slot.mon_start_ns.store(0, std::memory_order_relaxed);
+    if (slot->mon_start_ns.load(std::memory_order_relaxed) != 0) {
+      slot->mon_start_ns.store(0, std::memory_order_relaxed);
     }
-    OMPMCA_CHECK_RELEASE(check::LockClass::kGompPool, &slot);
+    OMPMCA_CHECK_RELEASE(check::LockClass::kGompPool, slot);
     // Teardown order: lease first (the workers have retired — their
     // decrements are what the join above observed), then the multiplex
     // witness, then the slot, whose release fetch_or publishes everything

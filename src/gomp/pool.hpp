@@ -44,8 +44,9 @@
 //  * Join: each participant drains its tasks and decrements the slot's
 //    active count; the master waits for zero with spin_then_park on the
 //    slot's Parker (the last worker wakes it only when it actually
-//    sleeps).  wait_team then returns the lease and the slot to their
-//    bitmaps.
+//    sleeps).  wait_team then runs the master's on_joined step (the
+//    runtime finishes the slot's hot team there) and returns the lease and
+//    the slot to their bitmaps.
 //  * Misusing the Dispatch handle (start before prepare, double start,
 //    destroying an in-flight dispatch) aborts in every build — the failure
 //    it replaces was silent cross-tenant slab corruption, which a
@@ -77,11 +78,11 @@ namespace ompmca::gomp {
 
 /// ClusterMemory over SystemBackend::allocate_on_cluster with a free-list
 /// cache: the hierarchical barrier allocates one ClusterTier per occupied
-/// cluster per team, and teams are constructed per region, so released
-/// blocks are kept per cluster and reused instead of round-tripping through
-/// the backend (an MRAPI segment create under the MCA backend) on every
-/// fork.  acquire() returns nullptr when the backend cannot place the block
-/// — callers fall back to the process heap.
+/// cluster per team, and nested and resized teams are built per region, so
+/// released blocks are kept per cluster and reused instead of
+/// round-tripping through the backend (an MRAPI segment create under the
+/// MCA backend) on every such fork.  acquire() returns nullptr when the
+/// backend cannot place the block — callers fall back to the process heap.
 class ClusterSlabCache final : public ClusterMemory {
  public:
   explicit ClusterSlabCache(SystemBackend& backend) : backend_(backend) {}
@@ -127,6 +128,9 @@ class ThreadPool {
 
     /// Width prepare() granted (1 = no workers leased).
     unsigned width() const { return width_; }
+    /// The claimed dispatch slot, or -1 when none was claimed.  The slot is
+    /// this master's alone from prepare() until wait_team() releases it.
+    int slot() const { return slot_; }
 
    private:
     friend class ThreadPool;
@@ -160,9 +164,12 @@ class ThreadPool {
   void start_team(Dispatch& d, unsigned nthreads,
                   FunctionRef<void(unsigned)> fn);
 
-  /// Region exit: joins @p d's participants, then returns the lease and
-  /// the slot so other masters can claim them.
-  void wait_team(Dispatch& d);
+  /// Region exit: joins @p d's participants, runs @p on_joined (when
+  /// given), then returns the lease and the slot so other masters can claim
+  /// them.  State owned through the slot must be finished with in
+  /// @p on_joined: the slot's next owner may take it the moment it is
+  /// released.
+  void wait_team(Dispatch& d, FunctionRef<void()> on_joined = {});
 
   unsigned workers_launched() const {
     return workers_launched_.load(std::memory_order_relaxed);

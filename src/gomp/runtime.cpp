@@ -174,6 +174,8 @@ Runtime::~Runtime() {
   // Pool (and its backend threads / MRAPI worker nodes) must retire before
   // the backend is destroyed; it releases its slab into cluster_mem_, which
   // frees through the backend, so the order is pool -> cache -> backend.
+  // Hot teams go first: their barriers release into cluster_mem_ too.
+  for (auto& team : hot_teams_) team.reset();
   pool_.reset();
   criticals_.clear();
   cluster_mem_.reset();
@@ -331,10 +333,23 @@ void Runtime::parallel(FunctionRef<void(ParallelContext&)> body,
   ThreadPool::Dispatch dispatch;
   n = pool_->prepare(dispatch, n, preferred,
                      nested ? outer->level() + 1 : 1);
-  Team team(*this, n, outer);
-  auto thread_fn = [&team, body](unsigned tid) {
-    team.run_thread(tid, body);
-  };
+  // A top-level region runs on its slot's hot team when the width matches;
+  // nested regions, and any width change, build a fresh team.
+  std::optional<Team> fresh;
+  Team* team = nullptr;
+  if (!nested && dispatch.slot() >= 0) {
+    std::unique_ptr<Team>& hot =
+        hot_teams_[static_cast<unsigned>(dispatch.slot())];
+    if (hot != nullptr && hot->nthreads() == n) {
+      hot->reset();
+    } else {
+      hot = std::make_unique<Team>(*this, n, nullptr);
+    }
+    team = hot.get();
+  } else {
+    team = &fresh.emplace(*this, n, outer);
+  }
+  auto thread_fn = [team, body](unsigned tid) { team->run_thread(tid, body); };
   pool_->start_team(dispatch, n, thread_fn);
   if (meter) {
     // Tenant attribution: prepare-to-ring latency and whether lease
@@ -342,8 +357,9 @@ void Runtime::parallel(FunctionRef<void(ParallelContext&)> body,
     obs::tenant::on_region(monotonic_nanos() - fork_t0, n < requested);
   }
   thread_fn(0);
-  pool_->wait_team(dispatch);
-  team.finish();
+  // Finish before the slot is released: from then on a hot team belongs
+  // to the slot's next owner.
+  pool_->wait_team(dispatch, [team] { team->finish(); });
 }
 
 void Runtime::parallel_for(long begin, long end,

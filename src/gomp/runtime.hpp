@@ -6,6 +6,7 @@
 // benches run both side by side, exactly the comparison the paper makes).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -156,6 +157,11 @@ class Runtime {
   std::unique_ptr<ClusterSlabCache> cluster_mem_;
   std::unique_ptr<platform::ClusterOccupancy> occupancy_;
   std::unique_ptr<ThreadPool> pool_;
+  // The hot team of each dispatch slot: the last top-level team forked
+  // through it, reused by the slot's next top-level region of the same
+  // width.  Built on first use; only the slot's current owner (prepare to
+  // wait_team) touches its entry.
+  std::array<std::unique_ptr<Team>, ThreadPool::kMaxSlots> hot_teams_;
 
   CapMutex critical_mu_;
   std::map<std::string, std::unique_ptr<BackendMutex>> criticals_

@@ -14,16 +14,26 @@ namespace ompmca::gomp {
 
 TaskSystem::TaskSystem() { configure(1, nullptr); }
 
-TaskSystem::~TaskSystem() {
-  // Drop the dependence table's retained references.  After the region's
-  // final drain nothing is queued or executing, so these are the only
-  // references left on completed records.  (The lock is defensive: the
-  // quiescence above is the real guarantee.)
+TaskSystem::~TaskSystem() { clear_dep_table(); }
+
+void TaskSystem::clear_dep_table() {
+  // After the region's final drain nothing is queued or executing, so the
+  // table's references are the only ones left on completed records.  (The
+  // lock is defensive: that quiescence is the real guarantee.)
   MutexLock lk(deps_mu_);
+  // Empty after most regions; clear() would still zero every bucket a
+  // past tasking region grew.
+  if (dep_table_.empty()) return;
   for (auto& [addr, entry] : dep_table_) {
     if (entry.last_out != nullptr) entry.last_out->release();
     for (Task* t : entry.last_ins) t->release();
   }
+  dep_table_.clear();
+}
+
+void TaskSystem::reset() {
+  progress_.store(0, std::memory_order_relaxed);
+  clear_dep_table();
 }
 
 TaskTuning TaskTuning::from_env() {

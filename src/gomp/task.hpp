@@ -95,6 +95,12 @@ class TaskSystem {
   void configure(unsigned nthreads, const unsigned* cluster_of_thread,
                  const TaskTuning& tuning = {});
 
+  /// Returns a quiescent task system (a finished region's) to its fresh
+  /// state for a reused team: the progress epoch back to zero, so the
+  /// task-free barrier exit works again, and the dependence table emptied,
+  /// releasing the task records it retains.  Single-threaded context only.
+  void reset();
+
   /// A thread's implicit-task record: carries the live-children count that
   /// taskwait consults and the active taskgroup for children.  The caller
   /// release()s it when the thread's region work (including the final
@@ -161,6 +167,8 @@ class TaskSystem {
   void finished(unsigned tid, Task* task);
   void release_dependents(unsigned tid, Task* task);
   bool deques_empty() const;
+  /// Drops the dependence table and the references it retains.
+  void clear_dep_table();
   /// State-change bell: bump the epoch, wake parked waiters.
   void bump_progress();
   /// Parks until progress moves past @p epoch (bounded wait: correctness

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdlib>
 
 #include "check/check.hpp"
+#include "common/log.hpp"
 #include "common/time.hpp"
 #include "gomp/runtime.hpp"
 #include "obs/telemetry.hpp"
@@ -51,6 +53,14 @@ unsigned distinct_clusters(const std::vector<unsigned>& cluster_of_thread) {
   return spanned;
 }
 
+/// Always-on worksharing-loop protocol guard: loop_next/loop_end without an
+/// open loop used to dereference a null descriptor in release builds, where
+/// the only guard was a debug assert.
+[[noreturn]] void loop_protocol_abort(const char* what) {
+  OMPMCA_LOG_ERROR("gomp: worksharing loop protocol violation: %s", what);
+  std::abort();
+}
+
 /// Unlocks a BackendMutex the caller already holds (the telemetry path
 /// acquires with try_lock-then-lock so it can count contention).
 class AdoptedBackendLock {
@@ -75,6 +85,7 @@ Team::Team(Runtime& rt, unsigned nthreads, ParallelContext* parent_ctx)
           (nthreads > 1 ? 1 : 0)),
       parent_ctx_(parent_ctx),
       inherited_env_(rt.env_icvs()),
+      spin_ns_(spin_window_ns(rt.icvs().wait_policy, nthreads)),
       cluster_of_thread_(nthreads),
       meters_(nthreads),
       reduce_slots_(nthreads) {
@@ -180,6 +191,15 @@ void Team::finish() {
   }
 }
 
+void Team::reset() {
+  inherited_env_ = rt_.env_icvs();
+  single_counter_.store(0, std::memory_order_relaxed);
+  for (auto& m : meters_) m.value = platform::Work{};
+  for (LoopInstance& loop : loops_) loop.reset();
+  for (SectionsInstance& ws : sections_) ws.reset();
+  tasks_.reset();
+}
+
 // --- ParallelContext -----------------------------------------------------------
 
 unsigned ParallelContext::num_threads() const { return team_->nthreads_; }
@@ -226,27 +246,74 @@ void ParallelContext::barrier() {
   }
 }
 
+ScheduleSpec ParallelContext::resolve_schedule(ScheduleSpec spec) const {
+  if (spec.kind == Schedule::kRuntime) spec = team_->rt_.icvs().run_schedule;
+  return spec;
+}
+
+std::optional<ParallelContext::StaticLoop> ParallelContext::static_loop(
+    long begin, long end, ScheduleSpec spec) {
+  switch (spec.kind) {
+    case Schedule::kStatic:
+    case Schedule::kRuntime:  // run-sched-var itself unset: static
+      return StaticLoop{begin, end, spec.chunk};
+    case Schedule::kAuto:
+      return StaticLoop{begin, end, 0};
+    case Schedule::kDynamic:
+    case Schedule::kGuided:
+      break;
+  }
+  return std::nullopt;
+}
+
+bool ParallelContext::next_static_chunk(const StaticLoop& loop, long* pos,
+                                        long* lo, long* hi) const {
+  if (!static_chunk(loop.begin, loop.end, loop.chunk, tid_, team_->nthreads_,
+                    *pos, lo, hi)) {
+    return false;
+  }
+  ++*pos;
+  // Per-chunk events are full-mode only, as for shared loops.
+  if (obs::trace::verbose()) {
+    obs::trace::instant(obs::trace::Type::kLoopChunk,
+                        static_cast<std::uint64_t>(*lo),
+                        static_cast<std::uint64_t>(*hi));
+  }
+  return true;
+}
+
+LoopInstance& ParallelContext::enter_shared_loop(long begin, long end,
+                                                 ScheduleSpec spec) {
+  LoopInstance& loop = team_->loops_[loop_gen_ % kWorkshareRing];
+  loop.enter(loop_gen_, begin, end, spec, team_->nthreads_,
+             team_->cluster_of_thread_.data(), team_->spin_ns_);
+  ++loop_gen_;
+  return loop;
+}
+
 void ParallelContext::for_loop(long begin, long end,
                                FunctionRef<void(long, long)> body,
                                ScheduleSpec spec, bool nowait) {
   obs::count(obs::Counter::kGompFor);
   obs::ScopedTimer timer(obs::Hist::kGompForNs);
-  if (spec.kind == Schedule::kRuntime) spec = team_->rt_.icvs().run_schedule;
+  spec = resolve_schedule(spec);
   obs::trace::Span span(obs::trace::Type::kFor,
                         static_cast<std::uint64_t>(spec.kind));
-  LoopInstance& loop = team_->loops_[loop_gen_ % kWorkshareRing];
-  loop.enter(loop_gen_, begin, end, spec, team_->nthreads_,
-             team_->cluster_of_thread_.data());
-  ++loop_gen_;
-  OMPMCA_CHECK_REGION_ENTER(check::Region::kWorkshare, team_);
   long pos = 0;
   long lo = 0;
   long hi = 0;
-  while (loop.next_chunk(tid_, &pos, &lo, &hi)) {
-    body(lo, hi);
+  if (const std::optional<StaticLoop> st = static_loop(begin, end, spec)) {
+    // No shared state: this thread's chunks follow from its tid alone.
+    OMPMCA_CHECK_REGION_ENTER(check::Region::kWorkshare, team_);
+    while (next_static_chunk(*st, &pos, &lo, &hi)) body(lo, hi);
+    OMPMCA_CHECK_REGION_EXIT(check::Region::kWorkshare, team_);
+  } else {
+    LoopInstance& loop = enter_shared_loop(begin, end, spec);
+    OMPMCA_CHECK_REGION_ENTER(check::Region::kWorkshare, team_);
+    while (loop.next_chunk(tid_, &pos, &lo, &hi)) body(lo, hi);
+    OMPMCA_CHECK_REGION_EXIT(check::Region::kWorkshare, team_);
+    loop.leave();
   }
-  OMPMCA_CHECK_REGION_EXIT(check::Region::kWorkshare, team_);
-  loop.leave();
   if (!nowait) barrier();
 }
 
@@ -255,13 +322,12 @@ void ParallelContext::for_loop_ordered(long begin, long end,
                                        ScheduleSpec spec) {
   obs::count(obs::Counter::kGompFor);
   obs::ScopedTimer timer(obs::Hist::kGompForNs);
-  if (spec.kind == Schedule::kRuntime) spec = team_->rt_.icvs().run_schedule;
+  spec = resolve_schedule(spec);
   obs::trace::Span span(obs::trace::Type::kFor,
                         static_cast<std::uint64_t>(spec.kind));
-  LoopInstance& loop = team_->loops_[loop_gen_ % kWorkshareRing];
-  loop.enter(loop_gen_, begin, end, spec, team_->nthreads_,
-             team_->cluster_of_thread_.data());
-  ++loop_gen_;
+  // Ordered loops keep the descriptor whatever the schedule: it carries
+  // the team's next-iteration turn.
+  LoopInstance& loop = enter_shared_loop(begin, end, spec);
   LoopInstance* saved = active_ordered_loop_;
   active_ordered_loop_ = &loop;
   OMPMCA_CHECK_REGION_ENTER(check::Region::kWorkshare, team_);
@@ -309,28 +375,34 @@ void ParallelContext::for_loop_simd(long begin, long end,
 
 bool ParallelContext::loop_start(long begin, long end, ScheduleSpec spec,
                                  long* lo, long* hi) {
-  assert(active_loop_ == nullptr && "loop_start while a loop is open");
-  if (spec.kind == Schedule::kRuntime) spec = team_->rt_.icvs().run_schedule;
-  LoopInstance& loop = team_->loops_[loop_gen_ % kWorkshareRing];
-  loop.enter(loop_gen_, begin, end, spec, team_->nthreads_,
-             team_->cluster_of_thread_.data());
-  ++loop_gen_;
-  active_loop_ = &loop;
+  if (loop_open_) loop_protocol_abort("loop_start while a loop is open");
+  spec = resolve_schedule(spec);
+  if (const std::optional<StaticLoop> st = static_loop(begin, end, spec)) {
+    static_loop_ = *st;
+    active_loop_ = nullptr;
+  } else {
+    active_loop_ = &enter_shared_loop(begin, end, spec);
+  }
+  loop_open_ = true;
   active_loop_pos_ = 0;
   OMPMCA_CHECK_REGION_ENTER(check::Region::kWorkshare, team_);
   return loop_next(lo, hi);
 }
 
 bool ParallelContext::loop_next(long* lo, long* hi) {
-  assert(active_loop_ != nullptr && "loop_next without loop_start");
+  if (!loop_open_) loop_protocol_abort("loop_next without loop_start");
+  if (active_loop_ == nullptr) {
+    return next_static_chunk(static_loop_, &active_loop_pos_, lo, hi);
+  }
   return active_loop_->next_chunk(tid_, &active_loop_pos_, lo, hi);
 }
 
 void ParallelContext::loop_end(bool nowait) {
-  assert(active_loop_ != nullptr && "loop_end without loop_start");
+  if (!loop_open_) loop_protocol_abort("loop_end without loop_start");
   OMPMCA_CHECK_REGION_EXIT(check::Region::kWorkshare, team_);
-  active_loop_->leave();
+  if (active_loop_ != nullptr) active_loop_->leave();
   active_loop_ = nullptr;
+  loop_open_ = false;
   if (!nowait) barrier();
 }
 
@@ -346,7 +418,7 @@ void ParallelContext::sections(
     std::initializer_list<FunctionRef<void()>> section_bodies, bool nowait) {
   SectionsInstance& ws = team_->sections_[sections_gen_ % kWorkshareRing];
   ws.enter(sections_gen_, static_cast<int>(section_bodies.size()),
-           team_->nthreads_);
+           team_->nthreads_, team_->spin_ns_);
   ++sections_gen_;
   OMPMCA_CHECK_REGION_ENTER(check::Region::kWorkshare, team_);
   for (;;) {

@@ -1,11 +1,16 @@
 // Team execution: the fork-join core of the runtime.
 //
-// A Team is one parallel-region instance: N implicit tasks, a barrier, a
-// ring of worksharing descriptors, a single/sections/critical substrate, a
-// task queue and per-thread work meters.  Each participating thread runs
-// the region body with a ParallelContext — the handle through which all
-// OpenMP semantics (barrier, for, single, master, critical, sections,
-// ordered, reduction, tasks) are expressed.
+// A Team is the shared state one parallel region runs on: N implicit
+// tasks, a barrier, a ring of worksharing descriptors, a single/sections/
+// critical substrate, a task queue and per-thread work meters.  Nested
+// regions and width-1 regions build a fresh Team per fork.  A top-level
+// region instead runs on its dispatch slot's hot team (Runtime keeps one
+// per ThreadPool slot): the team of the slot's previous region, reset(),
+// when the width matches — libGOMP's hot-team idea, which takes team
+// construction off the fork path.  Each participating thread runs the
+// region body with a ParallelContext — the handle through which all OpenMP
+// semantics (barrier, for, single, master, critical, sections, ordered,
+// reduction, tasks) are expressed.
 //
 // The API is explicit rather than pragma-based: this library is the
 // *runtime* (libGOMP's role), and ParallelContext's methods correspond to
@@ -80,12 +85,16 @@ class ParallelContext {
 
   // --- low-level worksharing (the GOMP_loop_* ABI shape) -----------------------
   /// Establishes (or joins) a worksharing loop and pulls the first chunk;
-  /// false when this thread has none.  Pair with loop_next/loop_end.
+  /// false when this thread has none.  Pair with loop_next/loop_end.  A
+  /// static schedule opens no shared descriptor.  Opening a loop while one
+  /// is open aborts (in every build).
   bool loop_start(long begin, long end, ScheduleSpec spec, long* lo,
                   long* hi);
-  /// Pulls the next chunk of the loop opened by loop_start.
+  /// Pulls the next chunk of the loop opened by loop_start; aborts when no
+  /// loop is open.
   bool loop_next(long* lo, long* hi);
-  /// Retires this thread's participation; barrier unless @p nowait.
+  /// Retires this thread's participation; barrier unless @p nowait.  Aborts
+  /// when no loop is open.
   void loop_end(bool nowait = false);
 
   // --- sections ----------------------------------------------------------------
@@ -143,6 +152,27 @@ class ParallelContext {
 
  private:
   friend class Team;
+
+  /// A static loop as one thread sees it: its chunks follow from its tid
+  /// and the team width alone.
+  struct StaticLoop {
+    long begin = 0;
+    long end = 0;
+    long chunk = 0;  // 0 = block partition
+  };
+
+  /// @p spec with `runtime` resolved against run-sched-var.
+  ScheduleSpec resolve_schedule(ScheduleSpec spec) const;
+  /// The static loop a resolved @p spec runs as (static and auto
+  /// schedules), or nullopt when it needs the shared descriptor.
+  static std::optional<StaticLoop> static_loop(long begin, long end,
+                                               ScheduleSpec spec);
+  /// Next chunk of static loop @p loop for this thread; @p pos is its
+  /// chunk ordinal.
+  bool next_static_chunk(const StaticLoop& loop, long* pos, long* lo,
+                         long* hi) const;
+  /// Joins the next ring generation's shared loop descriptor.
+  LoopInstance& enter_shared_loop(long begin, long end, ScheduleSpec spec);
   /// critical() body around an already-resolved mutex (@p name keys the
   /// checker's order graph).
   void run_critical(BackendMutex& mu, std::string_view name,
@@ -154,7 +184,11 @@ class ParallelContext {
   unsigned long sections_gen_ = 0;
   unsigned long single_gen_ = 0;
   LoopInstance* active_ordered_loop_ = nullptr;
-  LoopInstance* active_loop_ = nullptr;  // loop_start/next/end state
+  // loop_start/next/end state: whether a loop is open and, for a shared
+  // schedule, its descriptor (nullptr while a static loop is open).
+  bool loop_open_ = false;
+  LoopInstance* active_loop_ = nullptr;
+  StaticLoop static_loop_;
   long active_loop_pos_ = 0;
   Task* current_task_ = nullptr;
 };
@@ -193,8 +227,17 @@ class Team {
   void run_thread(unsigned tid, FunctionRef<void(ParallelContext&)> body);
 
   /// Called by the master after all threads returned: merges meters upward
-  /// (nested team) or publishes them (top-level team).
+  /// (nested team) or publishes them (top-level team).  A hot team must
+  /// finish before its dispatch slot is released (the slot's next owner
+  /// reuses it).
   void finish();
+
+  /// Readies a finished top-level team for the master's next region of the
+  /// same width: resets everything a region changes that a fresh Team
+  /// starts with — the inherited env ICVs, the single counter, the meters,
+  /// the workshare rings and the task system.  Master-only, between
+  /// regions.
+  void reset();
 
   TaskSystem& tasks() { return tasks_; }
 
@@ -217,6 +260,8 @@ class Team {
   // inherits these for the region and discards its changes at region end
   // (run_thread installs/restores the thread-local override).
   EnvIcvs inherited_env_;
+  // Spin window for waits inside worksharing constructs (ring claims).
+  std::uint64_t spin_ns_ = 0;
   BarrierKind barrier_kind_ = BarrierKind::kCentral;
   std::unique_ptr<TeamBarrier> barrier_;
   // Thread -> hardware cluster, from the topology's placement under the

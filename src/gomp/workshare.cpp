@@ -1,7 +1,6 @@
 #include "gomp/workshare.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -36,66 +35,82 @@ bool static_chunk(long begin, long end, long chunk, unsigned tid,
   return true;
 }
 
+void RingClaim::leave() {
+  // One fetch_add per thread; the acq_rel RMW chain makes every leaver's
+  // reads of the configuration happen-before the last leaver's free, which
+  // the next generation's claim acquires.  participants_ is read *before*
+  // the fetch_add: once a non-last leaver has counted itself, the last
+  // leaver may free the slot and the next claimant overwrite it.
+  const unsigned participants = participants_;
+  if (left_.fetch_add(1, std::memory_order_acq_rel) + 1 == participants) {
+    left_.store(0, std::memory_order_relaxed);
+    // seq_cst: waker half of parker_'s Dekker pair (a thread a ring ahead
+    // may be parked on this slot).
+    state_.store(kFree, std::memory_order_seq_cst);
+    parker_.wake();
+  }
+}
+
+void RingClaim::reset() {
+  left_.store(0, std::memory_order_relaxed);
+  state_.store(kFree, std::memory_order_relaxed);
+}
+
 void LoopInstance::enter(unsigned long gen, long begin, long end,
                          ScheduleSpec spec, unsigned nthreads,
-                         const unsigned* cluster_of_thread) {
-  MutexLock lk(init_mu_);
-  // Wait for the previous occupant of this ring slot to fully drain.
-  lk.wait(drained_cv_, [&, this]() OMPMCA_REQUIRES(init_mu_) {
-    return ready_gen_.load(std::memory_order_relaxed) == gen || !configured_;
+                         const unsigned* cluster_of_thread,
+                         std::uint64_t spin_ns) {
+  claim_.enter(gen, nthreads, spin_ns, [&] {
+    configure(begin, end, spec, nthreads, cluster_of_thread);
   });
-  if (!configured_) {
-    configured_ = true;
-    participants_ = nthreads;
-    begin_ = begin;
-    end_ = end;
-    spec_ = spec;
-    if (spec_.kind == Schedule::kRuntime) spec_.kind = Schedule::kStatic;
-    if (spec_.chunk <= 0 &&
-        (spec_.kind == Schedule::kDynamic || spec_.kind == Schedule::kGuided)) {
-      spec_.chunk = 1;
-    }
-    nthreads_ = nthreads;
-    cluster_of_ = cluster_of_thread;
-    const long total = end - begin;
-    // Distribute only when each thread gets enough chunks to amortise the
-    // machinery: a loop with ~one chunk per thread pays the O(nthreads)
-    // empty-scan at loop end without ever amortising it, and a single
-    // shared fetch_add is cheaper there.
-    const long min_iters = kMinChunksPerThread * static_cast<long>(nthreads) *
-                           std::max(spec_.chunk, 1L);
-    distributed_ = (spec_.kind == Schedule::kDynamic ||
-                    spec_.kind == Schedule::kGuided) &&
-                   nthreads > 1 && total >= min_iters &&
-                   total <= kMaxStealableIters;
-    if (distributed_) {
-      if (ranges_cap_ < nthreads) {
-        ranges_ = std::make_unique<RangeSlot[]>(nthreads);
-        ranges_cap_ = nthreads;
-      }
-      // Pre-slice [0, total) into one contiguous range per thread.  Later
-      // arrivers of this generation synchronise on init_mu_, so relaxed
-      // stores suffice here.
-      for (unsigned t = 0; t < nthreads; ++t) {
-        const auto t_lo = static_cast<std::uint32_t>(
-            static_cast<std::uint64_t>(total) * t / nthreads);
-        const auto t_hi = static_cast<std::uint32_t>(
-            static_cast<std::uint64_t>(total) * (t + 1) / nthreads);
-        ranges_[t].range.store(pack(t_lo, t_hi), std::memory_order_relaxed);
-      }
-    }
-    cursor_.store(begin, std::memory_order_relaxed);
-    {
-      // ordered_next_ belongs to ordered_mu_; this uncontended acquire
-      // (no same-generation thread can reach ordered_wait before the
-      // ready_gen_ publication below) keeps the field single-lock.
-      MutexLock olk(ordered_mu_);
-      ordered_next_ = begin;
-    }
-    ready_gen_.store(gen, std::memory_order_release);
+}
+
+void LoopInstance::configure(long begin, long end, ScheduleSpec spec,
+                             unsigned nthreads,
+                             const unsigned* cluster_of_thread) {
+  begin_ = begin;
+  end_ = end;
+  spec_ = spec;
+  if (spec_.kind == Schedule::kRuntime) spec_.kind = Schedule::kStatic;
+  if (spec_.chunk <= 0 &&
+      (spec_.kind == Schedule::kDynamic || spec_.kind == Schedule::kGuided)) {
+    spec_.chunk = 1;
   }
-  assert(ready_gen_.load(std::memory_order_relaxed) == gen &&
-         "workshare ring overrun: raise kRingSize");
+  nthreads_ = nthreads;
+  cluster_of_ = cluster_of_thread;
+  const long total = end - begin;
+  // Distribute only when each thread gets enough chunks to amortise the
+  // machinery: a loop with ~one chunk per thread pays the O(nthreads)
+  // empty-scan at loop end without ever amortising it, and a single shared
+  // fetch_add is cheaper there.
+  const long min_iters = kMinChunksPerThread * static_cast<long>(nthreads) *
+                         std::max(spec_.chunk, 1L);
+  distributed_ = (spec_.kind == Schedule::kDynamic ||
+                  spec_.kind == Schedule::kGuided) &&
+                 nthreads > 1 && total >= min_iters &&
+                 total <= kMaxStealableIters;
+  if (distributed_) {
+    if (ranges_cap_ < nthreads) {
+      ranges_ = std::make_unique<RangeSlot[]>(nthreads);
+      ranges_cap_ = nthreads;
+    }
+    // Pre-slice [0, total) into one contiguous range per thread.  The
+    // claim's release publication orders these before any peer's claims,
+    // so relaxed stores suffice here.
+    for (unsigned t = 0; t < nthreads; ++t) {
+      const auto t_lo = static_cast<std::uint32_t>(
+          static_cast<std::uint64_t>(total) * t / nthreads);
+      const auto t_hi = static_cast<std::uint32_t>(
+          static_cast<std::uint64_t>(total) * (t + 1) / nthreads);
+      ranges_[t].range.store(pack(t_lo, t_hi), std::memory_order_relaxed);
+    }
+  }
+  cursor_.store(begin, std::memory_order_relaxed);
+  // ordered_next_ belongs to ordered_mu_; this uncontended acquire (no
+  // thread of this generation can reach ordered_wait before the claim
+  // publishes) keeps the field single-lock.
+  MutexLock olk(ordered_mu_);
+  ordered_next_ = begin;
 }
 
 std::uint32_t LoopInstance::claim_size(std::uint32_t len) const {
@@ -239,24 +254,6 @@ bool LoopInstance::next_chunk_impl(unsigned tid, long* thread_pos, long* lo,
   return false;
 }
 
-void LoopInstance::leave() {
-  // Lock-free for all but the last leaver (one fetch_add); the acq_rel RMW
-  // chain makes every leaver's loop reads happen-before the last leaver's
-  // reset, which flips configured_ under init_mu_ so a drain-waiter in
-  // enter() observes it consistently.  participants_ is read *before* the
-  // fetch_add: once a non-last leaver has counted itself, the last leaver
-  // may reset the slot and the next occupant's enter() rewrite it.
-  const unsigned participants = participants_;
-  if (left_.fetch_add(1, std::memory_order_acq_rel) + 1 == participants) {
-    {
-      MutexLock lk(init_mu_);
-      configured_ = false;
-      left_.store(0, std::memory_order_relaxed);
-    }
-    drained_cv_.notify_all();
-  }
-}
-
 void LoopInstance::ordered_wait(long iter) {
   MutexLock lk(ordered_mu_);
   lk.wait(ordered_cv_, [&, this]() OMPMCA_REQUIRES(ordered_mu_) {
@@ -273,34 +270,16 @@ void LoopInstance::ordered_post() {
 }
 
 void SectionsInstance::enter(unsigned long gen, int num_sections,
-                             unsigned nthreads) {
-  MutexLock lk(init_mu_);
-  lk.wait(drained_cv_, [&, this]() OMPMCA_REQUIRES(init_mu_) {
-    return gen_ == gen || !configured_;
-  });
-  if (!configured_) {
-    gen_ = gen;
-    configured_ = true;
-    participants_ = nthreads;
-    left_ = 0;
+                             unsigned nthreads, std::uint64_t spin_ns) {
+  claim_.enter(gen, nthreads, spin_ns, [&] {
     num_sections_ = num_sections;
     cursor_.store(0, std::memory_order_relaxed);
-  }
-  assert(gen_ == gen && "sections ring overrun");
+  });
 }
 
 int SectionsInstance::next_section() {
   int idx = cursor_.fetch_add(1, std::memory_order_relaxed);
   return idx < num_sections_ ? idx : -1;
-}
-
-void SectionsInstance::leave() {
-  MutexLock lk(init_mu_);
-  if (++left_ == participants_) {
-    configured_ = false;
-    lk.unlock();
-    drained_cv_.notify_all();
-  }
 }
 
 }  // namespace ompmca::gomp

@@ -1,11 +1,21 @@
 // Worksharing-loop and sections state shared by a team.
 //
-// One LoopInstance is the shared descriptor of one `for` construct
-// execution: the first thread to arrive configures it; every thread then
-// pulls chunks per the schedule.  A team keeps a small ring of instances so
-// `nowait` loops can overlap (threads may be up to kRingSize constructs
-// apart before the earliest must fully drain — libGOMP has the same kind of
-// bounded lookahead).
+// Static loops have none: a thread computes its own [lo, hi) from its tid
+// and the team width with static_chunk(), as libGOMP and GCC's inlined
+// static schedule do, so a static `for` touches no shared memory at all
+// and consumes no ring slot.  Everything below serves the constructs that
+// must share state: dynamic, guided and ordered loops, and sections.
+//
+// One LoopInstance (or SectionsInstance) is the shared descriptor of one
+// such construct execution.  A team keeps a small ring of each so `nowait`
+// constructs can overlap: threads may be up to kWorkshareRing constructs
+// apart before the earliest must fully drain (libGOMP has the same kind of
+// bounded lookahead).  Every ring slot runs one claim protocol, RingClaim:
+// the first arriver of a generation claims the slot with a CAS on its
+// state word and configures it; later arrivers of that generation wait
+// only for the configuration's release publication; a thread that arrives
+// a whole ring ahead waits, through spin_then_park, for the slot's last
+// leaver to free it.  No thread takes a lock on the way in or out.
 //
 // Dynamic and guided schedules use distributed per-thread ranges with
 // cluster-aware work-stealing instead of one shared cursor: the iteration
@@ -30,17 +40,83 @@
 #include "common/annotations.hpp"
 #include "common/locks.hpp"
 #include "gomp/icv.hpp"
+#include "gomp/wait.hpp"
 
 namespace ompmca::gomp {
 
+/// The claim protocol of one workshare ring slot (see the file comment).
+/// The slot's state word is kFree, or a generation shifted left by one with
+/// the low bit set once that generation's configuration is published.
+class RingClaim {
+ public:
+  /// Joins generation @p gen of @p participants threads.  The thread that
+  /// claims the slot runs @p configure and publishes it; every other thread
+  /// returns once the configuration is visible.  @p spin_ns is the team's
+  /// spin window for the two waits (a peer configuring, an older
+  /// generation draining).
+  template <typename Configure>
+  void enter(unsigned long gen, unsigned participants, std::uint64_t spin_ns,
+             Configure&& configure) {
+    const unsigned long claimed = gen << 1;
+    const unsigned long ready = claimed | 1;
+    // acquire: a ready word publishes the configuration written before it.
+    unsigned long s = state_.load(std::memory_order_acquire);
+    while (s != ready) {
+      if (s == kFree) {
+        // acquire on success: the previous generation's last leave()
+        // released the slot, so its readers are done with the fields the
+        // configuration overwrites.
+        if (state_.compare_exchange_weak(s, claimed,
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire)) {
+          participants_ = participants;
+          configure();
+          // seq_cst: waker half of parker_'s Dekker pair (and the release
+          // that publishes the configuration to this generation's peers).
+          state_.store(ready, std::memory_order_seq_cst);
+          parker_.wake();
+          return;
+        }
+        continue;  // the failed CAS reloaded s
+      }
+      // A peer is configuring this generation, or an older one has not
+      // drained yet: both end in a state the predicate accepts.
+      spin_then_park(spin_ns, parker_, [&] {
+        // seq_cst: waiter half of parker_'s Dekker pair.
+        s = state_.load(std::memory_order_seq_cst);
+        return s == kFree || s == ready;
+      });
+    }
+  }
+
+  /// Counts the caller out of the current generation; the last leaver
+  /// frees the slot for the generation a ring ahead.
+  void leave();
+
+  /// Frees the slot outright (a reused team, between regions).
+  void reset();
+
+ private:
+  static constexpr unsigned long kFree = ~0ul;
+
+  std::atomic<unsigned long> state_{kFree};
+  // Written by the claiming thread before the ready publication, read by
+  // this generation's leavers: protocol-published, not lock-guarded.
+  unsigned participants_ = 0;
+  std::atomic<unsigned> left_{0};
+  Parker parker_;
+};
+
 class LoopInstance {
  public:
-  /// First arriver configures; later arrivers (same generation) pass through.
-  /// Blocks (briefly) until stragglers of generation gen - kRingSize leave.
+  /// Joins generation @p gen (see RingClaim): the first arriver configures
+  /// the descriptor, later arrivers wait for its publication.
   /// @p cluster_of_thread (optional, length nthreads, must outlive the
   /// construct) drives cluster-local victim preference when stealing.
+  /// @p spin_ns is the team's spin window for the claim's waits.
   void enter(unsigned long gen, long begin, long end, ScheduleSpec spec,
-             unsigned nthreads, const unsigned* cluster_of_thread = nullptr);
+             unsigned nthreads, const unsigned* cluster_of_thread = nullptr,
+             std::uint64_t spin_ns = 0);
 
   /// Next chunk for @p tid; false when no work is left anywhere (stealing
   /// schedules) or the thread's share is exhausted (static).
@@ -54,8 +130,11 @@ class LoopInstance {
 
  public:
 
-  /// Marks @p tid done with this generation (enables ring recycling).
-  void leave();
+  /// Marks the caller done with this generation (enables ring recycling).
+  void leave() { claim_.leave(); }
+
+  /// Frees the ring slot for a reused team's next region.
+  void reset() { claim_.reset(); }
 
   // --- ordered(§ worksharing) -------------------------------------------------
   /// Blocks until iteration @p iter is the next in sequence, runs nothing —
@@ -100,25 +179,14 @@ class LoopInstance {
   /// Scans victims (same cluster first) and steals the back half of one.
   bool steal_range(unsigned tid, long* lo, long* hi);
 
-  // Generation whose configuration is currently published; kNoGen before
-  // the first construct.  enter() stays mutex-serialised on purpose: an
-  // uncontended handoff measures faster than a lock-free check on the hot
-  // EPCC loops, because it gives the configuring thread an exclusive
-  // window on the descriptor cache lines.  leave() is lock-free for every
-  // thread but the last, which resets the slot under the mutex.
-  static constexpr unsigned long kNoGen = ~0ul;
+  /// The claiming thread's half of enter(): writes the configuration that
+  /// the claim then publishes to the generation's other threads.
+  void configure(long begin, long end, ScheduleSpec spec, unsigned nthreads,
+                 const unsigned* cluster_of_thread);
 
-  CapMutex init_mu_;
-  std::condition_variable drained_cv_;
-  std::atomic<unsigned long> ready_gen_{kNoGen};
-  bool configured_ OMPMCA_GUARDED_BY(init_mu_) = false;
-  // participants_ and the loop configuration below are written by the
-  // configuring thread under init_mu_ but read lock-free by the team:
-  // ready_gen_'s release store publishes them (same-generation readers
-  // acquire it), so they are protocol-published, not mutex-guarded.
-  unsigned participants_ = 0;
-  std::atomic<unsigned> left_{0};
-
+  // The configuration below is written by the claiming thread and read
+  // lock-free by the team once claim_ publishes it.
+  RingClaim claim_;
   long begin_ = 0;
   long end_ = 0;
   ScheduleSpec spec_;
@@ -137,20 +205,17 @@ class LoopInstance {
 /// Shared state for a `sections` construct: threads pull section indices.
 class SectionsInstance {
  public:
-  void enter(unsigned long gen, int num_sections, unsigned nthreads);
+  /// Joins generation @p gen of the construct (same claim as loops).
+  void enter(unsigned long gen, int num_sections, unsigned nthreads,
+             std::uint64_t spin_ns = 0);
   /// Index of the next unexecuted section, or -1 when exhausted.
   int next_section();
-  void leave();
+  void leave() { claim_.leave(); }
+  void reset() { claim_.reset(); }
 
  private:
-  CapMutex init_mu_;
-  std::condition_variable drained_cv_;
-  unsigned long gen_ OMPMCA_GUARDED_BY(init_mu_) = 0;
-  bool configured_ OMPMCA_GUARDED_BY(init_mu_) = false;
-  unsigned left_ OMPMCA_GUARDED_BY(init_mu_) = 0;
-  unsigned participants_ OMPMCA_GUARDED_BY(init_mu_) = 0;
-  // Written under init_mu_ at configuration, read lock-free by the team's
-  // next_section calls after the construct's entry synchronisation.
+  RingClaim claim_;
+  // Written by the claiming thread, published by claim_.
   int num_sections_ = 0;
   alignas(kCacheLineBytes) std::atomic<int> cursor_{0};
 };

@@ -76,6 +76,22 @@ void single_and_barrier_body(void* p) {
   EXPECT_EQ(hits->load(), 1);
 }
 
+void zero_incr_static_body(void*) {
+  long lo = 0;
+  long hi = 0;
+  EXPECT_FALSE(GOMP_loop_static_start(0, 10, 0, 1, &lo, &hi));
+  GOMP_loop_end();
+}
+
+void zero_incr_dynamic_body(void*) {
+  long lo = 0;
+  long hi = 0;
+  EXPECT_FALSE(GOMP_loop_dynamic_start(0, 10, 0, 1, &lo, &hi));
+  GOMP_loop_end();
+}
+
+void end_without_start_body(void*) { GOMP_loop_end_nowait(); }
+
 class CompatTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -161,6 +177,17 @@ TEST_F(CompatTest, ResetRefusesWhileARegionIsInFlight) {
   EXPECT_EQ(refused.load(), 1);
   // Drained: the same call now succeeds.
   EXPECT_TRUE(gomp_compat_reset());
+}
+
+TEST_F(CompatTest, LoopAbiMisuseAbortsDeathTest) {
+  // Fail-stop in every build: a zero increment, or a loop end with no loop
+  // open, used to reach a null descriptor in release builds.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(GOMP_parallel(zero_incr_static_body, nullptr, 1), "incr == 0");
+  EXPECT_DEATH(GOMP_parallel(zero_incr_dynamic_body, nullptr, 1),
+               "incr == 0");
+  EXPECT_DEATH(GOMP_parallel(end_without_start_body, nullptr, 1),
+               "loop_end without loop_start");
 }
 
 TEST(CompatBackendFlip, McaBackendViaConfigure) {

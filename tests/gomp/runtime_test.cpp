@@ -539,6 +539,101 @@ TEST_P(RuntimeBackendTest, ThreadNumsAreDistinct) {
   EXPECT_EQ(*seen.rbegin(), 7u);
 }
 
+// --- hot teams: a top-level re-fork of the same width reuses its team ---------
+
+TEST_P(RuntimeBackendTest, HotTeamReusedForSameWidthRebuiltOnWidthChange) {
+  auto rt = make_runtime(4);
+  auto team_of = [&](unsigned width) {
+    const Team* seen = nullptr;
+    rt->parallel(
+        [&](ParallelContext& ctx) {
+          if (ctx.thread_num() == 0) seen = &ctx.team();
+        },
+        width);
+    return seen;
+  };
+  const Team* first = team_of(4);
+  EXPECT_EQ(team_of(4), first);
+  // The width-4 team is still alive while the width-3 one is built, so a
+  // new team cannot land on the same address.
+  EXPECT_NE(team_of(3), first);
+}
+
+TEST_P(RuntimeBackendTest, HotTeamSinglesAndMetersStartFresh) {
+  auto rt = make_runtime(4);
+  const Team* team = nullptr;
+  for (int r = 1; r <= 20; ++r) {
+    std::atomic<int> winners[3] = {0, 0, 0};
+    rt->parallel([&](ParallelContext& ctx) {
+      if (ctx.thread_num() == 0) {
+        if (team != nullptr) {
+          EXPECT_EQ(&ctx.team(), team);
+        }
+        team = &ctx.team();
+      }
+      ctx.single([&] { winners[0].fetch_add(1); });
+      if (ctx.single_begin()) winners[1].fetch_add(1);
+      ctx.single([&] { winners[2].fetch_add(1); }, /*nowait=*/true);
+      ctx.meter().flops += 1.0;
+    });
+    for (auto& w : winners) ASSERT_EQ(w.load(), 1) << "region " << r;
+    const auto& meters = rt->last_region_meters();
+    ASSERT_EQ(meters.size(), 4u);
+    for (const auto& m : meters) ASSERT_DOUBLE_EQ(m.flops, 1.0);
+  }
+}
+
+TEST_P(RuntimeBackendTest, HotTeamSeesEnvIcvsSetBetweenForks) {
+  auto rt = make_runtime(4);
+  std::vector<unsigned> max_threads(4, 0);
+  std::vector<int> nested(4, -1);
+  const Team* teams[2] = {nullptr, nullptr};
+  for (int r = 0; r < 2; ++r) {
+    rt->parallel(
+        [&](ParallelContext& ctx) {
+          const unsigned tid = ctx.thread_num();
+          max_threads[tid] = ctx.runtime().max_threads();
+          nested[tid] = ctx.runtime().env_icvs().nested ? 1 : 0;
+          if (tid == 0) teams[r] = &ctx.team();
+        },
+        4);
+    for (unsigned t = 0; t < 4; ++t) {
+      EXPECT_EQ(max_threads[t], r == 0 ? 4u : 2u) << "region " << r;
+      EXPECT_EQ(nested[t], r == 0 ? 0 : 1) << "region " << r;
+    }
+    // omp_set_num_threads / omp_set_nested on the master, between forks.
+    rt->set_env_num_threads(2);
+    rt->set_env_nested(true);
+  }
+  EXPECT_EQ(teams[0], teams[1]);
+}
+
+TEST_P(RuntimeBackendTest, HotTeamTaskFreeRegionAfterDependRegion) {
+  auto rt = make_runtime(4);
+  for (int r = 0; r < 1000; ++r) {
+    if (r % 2 == 0) {
+      long x = 0;
+      rt->parallel([&](ParallelContext& ctx) {
+        ctx.single([&] {
+          for (int k = 0; k < 4; ++k) {
+            ctx.task_depend([&x] { x = 2 * x + 1; }, {}, {&x});
+          }
+        });
+      });
+      ASSERT_EQ(x, 15) << "region " << r;
+    } else {
+      std::atomic<int> arrived{0};
+      rt->parallel([&](ParallelContext& ctx) {
+        arrived.fetch_add(1);
+        ctx.barrier();
+        EXPECT_EQ(arrived.load(), 4);
+        ctx.barrier();
+      });
+      ASSERT_EQ(arrived.load(), 4) << "region " << r;
+    }
+  }
+}
+
 TEST_P(RuntimeBackendTest, TwentyFourThreadRegion) {
   // The board's full width.
   auto rt = make_runtime(24);

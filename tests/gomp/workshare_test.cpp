@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <iterator>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include "gomp/runtime.hpp"
 
 namespace ompmca::gomp {
 namespace {
@@ -210,6 +216,202 @@ TEST(Sections, MoreThreadsThanSections) {
   worker(0);
   for (auto& t : threads) t.join();
   EXPECT_EQ(total.load(), 2);
+}
+
+// --- loops in a team: static loops share nothing, shared loops claim ------------
+
+RuntimeOptions loop_options(unsigned width) {
+  RuntimeOptions opts;
+  Icvs icvs;
+  icvs.num_threads = width;
+  // `runtime` resolves to a chunked static schedule here.
+  icvs.run_schedule = ScheduleSpec{Schedule::kStatic, 5};
+  opts.icvs = icvs;
+  return opts;
+}
+
+using Hits = std::vector<std::atomic<int>>;
+
+void mark(Hits& hits, long lo, long hi) {
+  for (long i = lo; i < hi; ++i) hits[static_cast<std::size_t>(i)].fetch_add(1);
+}
+
+void expect_exactly_once(const Hits& hits, const std::string& what) {
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << what << " iteration " << i;
+  }
+}
+
+/// Runs one loop through the GOMP_loop_* shaped entry points.
+void loop_via_start(ParallelContext& ctx, long n, ScheduleSpec spec,
+                    Hits& hits, bool nowait) {
+  long lo = 0;
+  long hi = 0;
+  if (ctx.loop_start(0, n, spec, &lo, &hi)) {
+    do {
+      mark(hits, lo, hi);
+    } while (ctx.loop_next(&lo, &hi));
+  }
+  ctx.loop_end(nowait);
+}
+
+TEST(LoopClaim, StaticSchedulesCoverEveryIndexOnceAtWidths1To8) {
+  Runtime rt(loop_options(8));
+  const long n = 1009;
+  const ScheduleSpec specs[] = {{Schedule::kStatic, 0},
+                                {Schedule::kStatic, 3},
+                                {Schedule::kAuto, 0},
+                                {Schedule::kRuntime, 0}};
+  for (bool via_start : {false, true}) {
+    for (const ScheduleSpec spec : specs) {
+      for (unsigned width = 1; width <= 8; ++width) {
+        Hits hits(static_cast<std::size_t>(n));
+        for (auto& h : hits) h.store(0);
+        rt.parallel(
+            [&](ParallelContext& ctx) {
+              if (via_start) {
+                loop_via_start(ctx, n, spec, hits, /*nowait=*/false);
+              } else {
+                ctx.for_loop(
+                    0, n, [&](long lo, long hi) { mark(hits, lo, hi); }, spec);
+              }
+            },
+            width);
+        expect_exactly_once(hits, std::string(to_string(spec.kind)) + "," +
+                                      std::to_string(spec.chunk) + " width " +
+                                      std::to_string(width) +
+                                      (via_start ? " loop_start" : " for_loop"));
+      }
+    }
+  }
+}
+
+TEST(LoopClaim, StaticLoopsTakeNoRingSlot) {
+  // Thread 0 stalls until its peers have run more nowait static loops than
+  // the ring holds.  A static loop that claimed a ring slot would block
+  // them on the first slot thread 0 never left; the bounded stall turns
+  // that into a failure instead of a hang.
+  Runtime rt(loop_options(4));
+  const long n = 257;
+  constexpr unsigned kLoops = 2 * kWorkshareRing + 1;
+  std::vector<Hits> hits(kLoops);
+  for (auto& h : hits) {
+    h = Hits(static_cast<std::size_t>(n));
+    for (auto& x : h) x.store(0);
+  }
+  std::atomic<unsigned> peers_done{0};
+  rt.parallel(
+      [&](ParallelContext& ctx) {
+        if (ctx.thread_num() == 0) {
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (peers_done.load() < ctx.num_threads() - 1 &&
+                 std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+          }
+          EXPECT_EQ(peers_done.load(), ctx.num_threads() - 1);
+        }
+        for (unsigned k = 0; k < kLoops; ++k) {
+          const ScheduleSpec spec{k % 2 == 0 ? Schedule::kStatic
+                                             : Schedule::kAuto,
+                                  0};
+          if (k % 3 == 0) {
+            loop_via_start(ctx, n, spec, hits[k], /*nowait=*/true);
+          } else {
+            ctx.for_loop(
+                0, n, [&](long lo, long hi) { mark(hits[k], lo, hi); }, spec,
+                /*nowait=*/true);
+          }
+        }
+        if (ctx.thread_num() != 0) peers_done.fetch_add(1);
+      },
+      4);
+  for (unsigned k = 0; k < kLoops; ++k) {
+    expect_exactly_once(hits[k], "loop " + std::to_string(k));
+  }
+}
+
+TEST(LoopClaim, StaticAndDynamicNowaitLoopsInterleave) {
+  Runtime rt(loop_options(4));
+  const long n = 1000;
+  constexpr unsigned kLoops = 3 * kWorkshareRing;
+  std::vector<Hits> hits(kLoops);
+  for (auto& h : hits) {
+    h = Hits(static_cast<std::size_t>(n));
+    for (auto& x : h) x.store(0);
+  }
+  const ScheduleSpec specs[] = {{Schedule::kStatic, 0},
+                                {Schedule::kDynamic, 7},
+                                {Schedule::kStatic, 4},
+                                {Schedule::kGuided, 2},
+                                {Schedule::kRuntime, 0}};
+  for (int rep = 0; rep < 3; ++rep) {
+    for (auto& h : hits) {
+      for (auto& x : h) x.store(0);
+    }
+    rt.parallel([&](ParallelContext& ctx) {
+      for (unsigned k = 0; k < kLoops; ++k) {
+        const ScheduleSpec spec = specs[k % std::size(specs)];
+        if (k % 2 == 0) {
+          loop_via_start(ctx, n, spec, hits[k], /*nowait=*/true);
+        } else {
+          ctx.for_loop(
+              0, n, [&](long lo, long hi) { mark(hits[k], lo, hi); }, spec,
+              /*nowait=*/true);
+        }
+      }
+    });
+    for (unsigned k = 0; k < kLoops; ++k) {
+      expect_exactly_once(hits[k], "rep " + std::to_string(rep) + " loop " +
+                                       std::to_string(k));
+    }
+  }
+}
+
+TEST(LoopClaim, DynamicNowaitLoopsWaitOutAStalledThread) {
+  // The fast threads run a whole ring ahead of the stalled one and must
+  // wait (spin, then park) for each slot to drain, then finish every loop
+  // exactly once.
+  for (WaitPolicy policy : {WaitPolicy::kDefault, WaitPolicy::kPassive}) {
+    RuntimeOptions opts = loop_options(4);
+    opts.icvs->wait_policy = policy;
+    Runtime rt(opts);
+    const long n = 600;
+    constexpr unsigned kLoops = 2 * kWorkshareRing;
+    std::vector<Hits> hits(kLoops);
+    for (auto& h : hits) {
+      h = Hits(static_cast<std::size_t>(n));
+      for (auto& x : h) x.store(0);
+    }
+    rt.parallel([&](ParallelContext& ctx) {
+      if (ctx.thread_num() == ctx.num_threads() - 1) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }
+      for (unsigned k = 0; k < kLoops; ++k) {
+        ctx.for_loop(
+            0, n, [&](long lo, long hi) { mark(hits[k], lo, hi); },
+            ScheduleSpec{Schedule::kDynamic, 3}, /*nowait=*/true);
+      }
+    });
+    for (unsigned k = 0; k < kLoops; ++k) {
+      expect_exactly_once(hits[k], "loop " + std::to_string(k));
+    }
+  }
+}
+
+TEST(LoopClaimDeathTest, LoopNextOrEndWithoutStartAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Runtime rt(loop_options(1));
+  EXPECT_DEATH(rt.parallel(
+                   [](ParallelContext& ctx) {
+                     long lo = 0;
+                     long hi = 0;
+                     EXPECT_FALSE(ctx.loop_next(&lo, &hi));
+                   },
+                   1),
+               "loop_next without loop_start");
+  EXPECT_DEATH(rt.parallel([](ParallelContext& ctx) { ctx.loop_end(); }, 1),
+               "loop_end without loop_start");
 }
 
 }  // namespace
