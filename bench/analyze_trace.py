@@ -8,12 +8,8 @@ Computes, from the flight-recorder JSON that src/obs/trace.cpp exports:
   * fork critical path — for every doorbell epoch, the time from the
     master's fork_ring to the *last* worker_wake it caused (the paper's
     fork overhead is exactly this path);
-  * steal locality — attempts, successes, and the local/remote split of
-    the loop scheduler's range stealing;
-  * barrier locality — per-barrier intra-cluster vs cross-cluster wait
-    split from the hierarchical barrier's barrier_tier sub-events (tier 0 =
-    a thread waiting on its own cluster's flag, tier 1 = a cluster leader
-    crossing the CoreNet top tier), with per-cluster arrival counts.
+  * steals — attempts and successes of the loop scheduler's range
+    stealing.
 
     python3 bench/analyze_trace.py bench/artifacts/trace_table1_epcc.json
 
@@ -164,12 +160,7 @@ def analyze(events):
     ring_ts = {}          # epoch -> fork_ring ts
     ring_width = {}       # epoch -> team width
     wakes = defaultdict(list)  # epoch -> [worker_wake ts]
-    steals = {"attempts": 0, "steals": 0, "local": 0, "remote": 0}
-    tiers = {
-        0: {"count": 0, "total_us": 0.0, "max_us": 0.0},  # intra-cluster
-        1: {"count": 0, "total_us": 0.0, "max_us": 0.0},  # cross-cluster
-    }
-    tier_clusters = defaultdict(int)  # cluster id -> arrivals seen
+    steals = {"attempts": 0, "steals": 0}
 
     for e in events:
         if e.get("ph") != "X":
@@ -194,24 +185,10 @@ def analyze(events):
             epoch = args.get("epoch")
             if epoch is not None:
                 wakes[epoch].append(ts)
-        elif name == "barrier_tier":
-            tier = args.get("tier")
-            if tier in tiers:
-                t = tiers[tier]
-                t["count"] += 1
-                t["total_us"] += dur
-                t["max_us"] = max(t["max_us"], dur)
-            cluster = args.get("cluster")
-            if cluster is not None:
-                tier_clusters[cluster] += 1
         elif name == "steal_attempt":
             steals["attempts"] += 1
         elif name == "steal":
             steals["steals"] += 1
-            if args.get("local"):
-                steals["local"] += 1
-            else:
-                steals["remote"] += 1
 
     wall_us = (span_hi - span_lo) if span_lo is not None else 0.0
 
@@ -236,22 +213,6 @@ def analyze(events):
             "p95_us": us[min(len(us) - 1, int(len(us) * 0.95))],
         }
 
-    # Barrier locality: the hierarchical barrier's tier-0 events are threads
-    # waiting on their own cluster's flag (traffic stays in the L2 domain);
-    # tier-1 events are cluster leaders crossing CoreNet.  The cross/intra
-    # event-count ratio witnesses the O(clusters)-per-barrier property.
-    barrier_locality = None
-    if tiers[0]["count"] or tiers[1]["count"]:
-        def finish(t):
-            mean = t["total_us"] / t["count"] if t["count"] else 0.0
-            return {**t, "mean_us": mean}
-
-        barrier_locality = {
-            "intra_cluster": finish(tiers[0]),
-            "cross_cluster": finish(tiers[1]),
-            "per_cluster_arrivals": dict(sorted(tier_clusters.items())),
-        }
-
     return {
         "constructs": {k: dict(v) for k, v in sorted(constructs.items())},
         "wall_us": wall_us,
@@ -259,7 +220,6 @@ def analyze(events):
         "forks_paired": len(paths),
         "forks_seen": len(ring_ts),
         "steal": steals,
-        "barrier_locality": barrier_locality,
     }
 
 
@@ -287,28 +247,9 @@ def print_human(summary):
         print("fork critical path: no ring/wake pairs in this trace")
     st = summary["steal"]
     if st["attempts"] or st["steals"]:
-        total = st["steals"] or 1
-        print(f"steals: {st['steals']} of {st['attempts']} attempts "
-              f"({st['local']} local / {st['remote']} remote; "
-              f"locality {100.0 * st['local'] / total:.1f}%)")
+        print(f"steals: {st['steals']} of {st['attempts']} attempts")
     else:
         print("steals: none recorded")
-    bl = summary.get("barrier_locality")
-    if bl:
-        intra, cross = bl["intra_cluster"], bl["cross_cluster"]
-        total = intra["count"] + cross["count"]
-        share = 100.0 * cross["count"] / total if total else 0.0
-        print(f"barrier locality: {intra['count']} intra-cluster waits "
-              f"(mean {intra['mean_us']:.3f} us) / {cross['count']} "
-              f"cross-cluster (mean {cross['mean_us']:.3f} us; "
-              f"{share:.1f}% of arrivals cross CoreNet)")
-        per = bl["per_cluster_arrivals"]
-        if per:
-            spread = ", ".join(f"c{c}: {n}" for c, n in per.items())
-            print(f"  arrivals per cluster: {spread}")
-    else:
-        print("barrier locality: no barrier_tier events "
-              "(flat barrier, or trace not in full mode)")
 
 
 def main():

@@ -198,32 +198,6 @@ def fork_cp_mean(trace_summary):
     return mean
 
 
-def barrier_cross_share(trace_summary):
-    """Fraction of barrier arrivals that crossed CoreNet, or None.
-
-    Reads the barrier_locality section analyze_trace.py derives from the
-    hierarchical barrier's barrier_tier sub-events.
-    """
-    if not trace_summary:
-        return None
-    bl = trace_summary.get("barrier_locality")
-    if not isinstance(bl, dict):
-        return None
-    counts = []
-    for key in ("intra_cluster", "cross_cluster"):
-        sec = bl.get(key)
-        if not isinstance(sec, dict):
-            return None
-        n = sec.get("count")
-        if isinstance(n, bool) or not isinstance(n, (int, float)):
-            return None
-        counts.append(n)
-    total = counts[0] + counts[1]
-    if total <= 0:
-        return None
-    return counts[1] / total
-
-
 def fmt_us(v):
     return f"{v:9.3f}"
 
@@ -374,16 +348,6 @@ def main():
         print(
             f"fork critical path (mean): {b_cp:.3f} us -> {c_cp:.3f} us, "
             f"delta {delta:+.3f} us{rel}"
-        )
-
-    # Barrier locality delta: share of arrivals crossing CoreNet, when both
-    # sides carry analyze_trace.py's barrier_locality section.
-    b_bl = barrier_cross_share(base_trace)
-    c_bl = barrier_cross_share(cand_trace)
-    if b_bl is not None and c_bl is not None:
-        print(
-            f"barrier cross-cluster share: {b_bl * 100.0:.1f}% -> "
-            f"{c_bl * 100.0:.1f}% ({(c_bl - b_bl) * 100.0:+.1f} pp)"
         )
 
     print()

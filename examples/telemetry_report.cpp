@@ -72,13 +72,12 @@ int main() {
   std::printf("\nmerged telemetry report:\n\n");
   obs::Registry::instance().write_report("telemetry_report_example", stdout);
 
-  // Quick sanity so the example doubles as a smoke test.  The default
-  // barrier kind is auto — an 8-thread scatter team spans >1 cluster, so
-  // the waits land in the hierarchical histogram.
+  // Quick sanity so the example doubles as a smoke test: every team
+  // barrier's wait lands in the central barrier's histogram.
   obs::Snapshot s = obs::Registry::instance().snapshot();
   const bool ok = s.counter(obs::Counter::kGompParallel) == 2 &&
                   s.counter(obs::Counter::kGompCritical) == 2u * 8u * 50u &&
-                  s.hist(obs::Hist::kGompBarrierWaitHierarchicalNs).count > 0 &&
+                  s.hist(obs::Hist::kGompBarrierWaitCentralNs).count > 0 &&
                   s.counter(obs::Counter::kMrapiNodeCreate) > 0;
   std::printf("\n%s\n", ok ? "telemetry self-check: PASS"
                            : "telemetry self-check: FAIL");

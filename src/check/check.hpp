@@ -150,7 +150,7 @@ void on_region_exit(Region r, const void* team);
 /// Semantic team-barrier entry (ParallelContext::barrier): construct
 /// nesting checks (single/critical/worksharing).
 void on_barrier_usage(const void* team, const char* site);
-/// Physical barrier arrival (TeamBarrier impls): held-lock check.
+/// Physical barrier arrival (CentralBarrier): held-lock check.
 void on_barrier_held(const char* site);
 
 // --- reporting ----------------------------------------------------------------

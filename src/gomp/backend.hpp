@@ -44,14 +44,6 @@ class SystemBackend {
   // --- memory management (§5B.2, Listing 3: gomp_malloc) -------------------
   virtual void* allocate(std::size_t bytes) = 0;
   virtual void deallocate(void* p) = 0;
-  /// Allocation homed in @p cluster's memory domain where the backend can
-  /// model it (MCA: a system-mode segment carved from that cluster's arena
-  /// sub-pool).  Backends with no placement notion serve it from the plain
-  /// heap path; free with deallocate() either way.
-  virtual void* allocate_on_cluster(std::size_t bytes, unsigned cluster) {
-    (void)cluster;
-    return allocate(bytes);
-  }
 
   // --- synchronisation (§5B.3, Listing 4) -----------------------------------
   virtual std::unique_ptr<BackendMutex> create_mutex() = 0;

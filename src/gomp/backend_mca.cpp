@@ -150,39 +150,6 @@ void* McaBackend::allocate(std::size_t bytes) {
   return nullptr;
 }
 
-void* McaBackend::allocate_on_cluster(std::size_t bytes, unsigned cluster) {
-  // Cluster-homed variant of gomp_malloc: a *system-mode* segment with a
-  // cluster hint, so the block is carved from that cluster's arena sub-pool
-  // (falling back to the heap under arena pressure — the allocation must
-  // still succeed, it just loses the locality modeling).
-  mrapi::ShmemAttributes attrs;
-  attrs.mode = mrapi::ShmemMode::kSystem;
-  attrs.cluster_hint = cluster;
-  std::uint64_t failures = 0;
-  for (unsigned attempt = 0; attempt < kCreateRetries; ++attempt) {
-    mrapi::ResourceKey key = next_resource_key();
-    auto seg = node_.shmem_create(key, bytes, attrs);
-    if (seg) {
-      auto addr = (*seg)->attach(node_.node_id());
-      if (addr) {
-        if (failures > 0) {
-          OMPMCA_FAULT_RECOVERED(kMrapiShmemCreate, failures);
-        }
-        MutexLock lk(alloc_mu_);
-        allocations_[*addr] = key;
-        return *addr;
-      }
-      // Undo of a half-built segment; the attach failure drives the retry.
-      (void)node_.shmem_delete(key);
-    }
-    ++failures;
-    create_backoff(attempt);
-  }
-  OMPMCA_FAULT_EXHAUSTED(kMrapiShmemCreate, failures);
-  failed_allocations_.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
-}
-
 void McaBackend::deallocate(void* p) {
   if (p == nullptr) return;
   mrapi::ResourceKey key;

@@ -55,7 +55,6 @@ class McaBackend final : public SystemBackend {
 
   void* allocate(std::size_t bytes) override;
   void deallocate(void* p) override;
-  void* allocate_on_cluster(std::size_t bytes, unsigned cluster) override;
 
   std::unique_ptr<BackendMutex> create_mutex() override;
 

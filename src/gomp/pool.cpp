@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <new>
 #include <thread>
 
 #include "check/check.hpp"
@@ -21,10 +19,6 @@
 namespace ompmca::gomp {
 
 namespace {
-
-/// Cap on distinct clusters the lease scorer tracks (stack arrays, no
-/// allocation on the fork path); real boards have a handful.
-constexpr unsigned kMaxLeaseClusters = 32;
 
 unsigned lowest_bit(std::uint64_t v) {
   return static_cast<unsigned>(std::countr_zero(v));
@@ -89,8 +83,7 @@ ThreadPool::ThreadPool(SystemBackend& backend, WaitPolicy wait_policy,
       max_workers_(std::min(max_workers, kMaxWorkers)),
       slots_free_((1u << kMaxSlots) - 1),
       workers_free_(max_workers_ >= 64 ? ~std::uint64_t{0}
-                                       : (std::uint64_t{1} << max_workers_) - 1),
-      worker_cluster_(max_workers_, 0) {
+                                       : (std::uint64_t{1} << max_workers_) - 1) {
   // Bounded lease wait before a contended master degrades width instead of
   // blocking; 0 disables waiting entirely.
   lease_wait_ns_ = 20'000;
@@ -120,71 +113,6 @@ ThreadPool::~ThreadPool() {
       (void)backend_.join_thread(i);  // destructor: nowhere to report failure
     }
   }
-  if (slab_mem_ != nullptr) {
-    for (unsigned s = 0; s < kMaxSlots; ++s) slots_[s].~DispatchSlot();
-    slab_mem_->release(slab_cluster_, slots_);
-  }
-}
-
-void ThreadPool::set_worker_clusters(std::vector<unsigned> clusters,
-                                     unsigned num_clusters) {
-  assert(workers_launched() == 0 && "worker-cluster map after workers started");
-  num_clusters_ = std::clamp(num_clusters, 1u, kMaxLeaseClusters);
-  clusters.resize(max_workers_, 0);
-  for (unsigned& c : clusters) c = std::min(c, num_clusters_ - 1);
-  worker_cluster_ = std::move(clusters);
-}
-
-void ThreadPool::home_slab(ClusterMemory* mem, unsigned cluster) {
-  assert(workers_launched() == 0 && "home_slab after workers started");
-  if (mem == nullptr || slab_mem_ != nullptr) return;
-  void* p = mem->acquire(cluster, sizeof(DispatchSlot) * kMaxSlots);
-  if (p == nullptr) return;
-  auto* bank = static_cast<DispatchSlot*>(p);
-  for (unsigned s = 0; s < kMaxSlots; ++s) ::new (&bank[s]) DispatchSlot();
-  slots_ = bank;
-  slab_mem_ = mem;
-  slab_cluster_ = cluster;
-}
-
-// --- ClusterSlabCache --------------------------------------------------------
-
-ClusterSlabCache::~ClusterSlabCache() {
-  MutexLock lk(mu_);
-  for (auto& [cluster, slabs] : cache_) {
-    for (Slab& s : slabs) backend_.deallocate(s.p);
-  }
-  // live_ should be empty here (every barrier retires before the runtime);
-  // anything left is the caller's leak, not ours to free blind.
-}
-
-void* ClusterSlabCache::acquire(unsigned cluster, std::size_t bytes) {
-  MutexLock lk(mu_);
-  auto it = cache_.find(cluster);
-  if (it != cache_.end()) {
-    auto& slabs = it->second;
-    for (std::size_t i = 0; i < slabs.size(); ++i) {
-      if (slabs[i].bytes >= bytes) {
-        void* p = slabs[i].p;
-        live_[p] = slabs[i].bytes;
-        slabs[i] = slabs.back();
-        slabs.pop_back();
-        return p;
-      }
-    }
-  }
-  void* p = backend_.allocate_on_cluster(bytes, cluster);
-  if (p != nullptr) live_[p] = bytes;
-  return p;
-}
-
-void ClusterSlabCache::release(unsigned cluster, void* p) {
-  if (p == nullptr) return;
-  MutexLock lk(mu_);
-  auto it = live_.find(p);
-  if (it == live_.end()) return;
-  cache_[cluster].push_back(Slab{p, it->second});
-  live_.erase(it);
 }
 
 // --- dispatch ----------------------------------------------------------------
@@ -280,61 +208,23 @@ void ThreadPool::release_slot(int slot) {
   slots_free_.fetch_or(1u << slot, std::memory_order_release);
 }
 
-std::uint64_t ThreadPool::pick_bits(std::uint64_t avail, unsigned wanted,
-                                    unsigned preferred) const {
-  // Affinity order: the master's preferred cluster first (the workers that
-  // share its L2), then the remaining clusters by descending free
-  // population — least-loaded spill, so concurrent masters spread out
-  // instead of piling onto one cluster's leftovers.
+std::uint64_t ThreadPool::pick_bits(std::uint64_t avail, unsigned wanted) {
   std::uint64_t pick = 0;
-  unsigned got = 0;
-  auto take = [&](unsigned cluster) {
-    std::uint64_t rest = avail & ~pick;
-    while (rest != 0 && got < wanted) {
-      const unsigned i = lowest_bit(rest);
-      rest &= rest - 1;
-      if (worker_cluster_[i] == cluster) {
-        pick |= std::uint64_t{1} << i;
-        ++got;
-      }
-    }
-  };
-  if (preferred < num_clusters_) take(preferred);
-  if (got < wanted && num_clusters_ > 1) {
-    unsigned counts[kMaxLeaseClusters] = {};
-    std::uint64_t rest = avail & ~pick;
-    while (rest != 0) {
-      const unsigned i = lowest_bit(rest);
-      rest &= rest - 1;
-      ++counts[worker_cluster_[i]];
-    }
-    while (got < wanted) {
-      unsigned best = num_clusters_;
-      unsigned best_count = 0;
-      for (unsigned c = 0; c < num_clusters_; ++c) {
-        if (counts[c] > best_count) {
-          best = c;
-          best_count = counts[c];
-        }
-      }
-      if (best == num_clusters_) break;  // nothing left anywhere
-      counts[best] = 0;
-      take(best);
-    }
-  } else if (got < wanted) {
-    take(0);
+  for (unsigned got = 0; avail != 0 && got < wanted; ++got) {
+    pick |= std::uint64_t{1} << lowest_bit(avail);
+    avail &= avail - 1;
   }
   return pick;
 }
 
-std::uint64_t ThreadPool::try_lease(unsigned wanted, unsigned preferred) {
+std::uint64_t ThreadPool::try_lease(unsigned wanted) {
   if (wanted == 0) return 0;
   for (;;) {
     // acquire: pairs with release_lease, so a re-leased worker's mailbox
     // write happens-after its previous master's join retired it.
     std::uint64_t avail = workers_free_.load(std::memory_order_acquire);
     if (avail == 0) return 0;
-    const std::uint64_t pick = pick_bits(avail, wanted, preferred);
+    const std::uint64_t pick = pick_bits(avail, wanted);
     if (pick == 0) return 0;
     if (workers_free_.compare_exchange_weak(avail, avail & ~pick,
                                             std::memory_order_acq_rel,
@@ -344,8 +234,8 @@ std::uint64_t ThreadPool::try_lease(unsigned wanted, unsigned preferred) {
   }
 }
 
-std::uint64_t ThreadPool::lease_workers(unsigned wanted, unsigned preferred) {
-  std::uint64_t lease = try_lease(wanted, preferred);
+std::uint64_t ThreadPool::lease_workers(unsigned wanted) {
+  std::uint64_t lease = try_lease(wanted);
   unsigned got = popcount64(lease);
   if (got < wanted && lease_wait_ns_ > 0) {
     // Bounded wait-then-degrade: a short grace window lets a peer master's
@@ -358,7 +248,7 @@ std::uint64_t ThreadPool::lease_workers(unsigned wanted, unsigned preferred) {
     Backoff backoff;
     do {
       backoff.pause();
-      lease |= try_lease(wanted - got, preferred);
+      lease |= try_lease(wanted - got);
       got = popcount64(lease);
     } while (got < wanted && monotonic_nanos() - t0 < lease_wait_ns_);
     if (obs::enabled()) {
@@ -408,7 +298,7 @@ std::uint64_t ThreadPool::ensure_launched(std::uint64_t lease) {
 }
 
 unsigned ThreadPool::prepare(Dispatch& d, unsigned nthreads,
-                             unsigned preferred_cluster, unsigned level) {
+                             unsigned level) {
   OMPMCA_POOL_GUARD(d.slot_ == -1 && !d.started_,
                     "prepare() on a dispatch already in flight");
   d.pool_ = this;
@@ -434,7 +324,7 @@ unsigned ThreadPool::prepare(Dispatch& d, unsigned nthreads,
 
   const unsigned extra = std::min(nthreads - 1, max_workers_);
   const std::uint64_t lease =
-      ensure_launched(lease_workers(extra, preferred_cluster));
+      ensure_launched(lease_workers(extra));
   d.lease_ = lease;
   d.width_ = 1 + popcount64(lease);
   return d.width_;

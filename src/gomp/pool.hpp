@@ -18,8 +18,7 @@
 //
 // Dispatch protocol (the hot path):
 //  * Region entry (prepare): the master claims a DispatchSlot (slot bitmap
-//    CAS) and leases workers from the free bitmap — cluster-affine first
-//    (the caller's preferred cluster), then least-loaded by free count.
+//    CAS) and leases the lowest free workers from the free bitmap.
 //    Under pressure the lease waits a bounded OMPMCA_LEASE_WAIT_NS and then
 //    degrades the team width rather than blocking (gomp.lease_degraded /
 //    gomp.lease_wait_ns account for it); a second region in flight counts
@@ -60,51 +59,17 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "common/align.hpp"
-#include "common/annotations.hpp"
-#include "common/locks.hpp"
 #include "common/function_ref.hpp"
 #include "gomp/backend.hpp"
-#include "gomp/barrier.hpp"
 #include "gomp/icv.hpp"
 #include "gomp/wait.hpp"
 #include "obs/monitor.hpp"
 
 namespace ompmca::gomp {
-
-/// ClusterMemory over SystemBackend::allocate_on_cluster with a free-list
-/// cache: the hierarchical barrier allocates one ClusterTier per occupied
-/// cluster per team, and nested and resized teams are built per region, so
-/// released blocks are kept per cluster and reused instead of
-/// round-tripping through the backend (an MRAPI segment create under the
-/// MCA backend) on every such fork.  acquire() returns nullptr when the
-/// backend cannot place the block — callers fall back to the process heap.
-class ClusterSlabCache final : public ClusterMemory {
- public:
-  explicit ClusterSlabCache(SystemBackend& backend) : backend_(backend) {}
-  ~ClusterSlabCache() override;
-
-  void* acquire(unsigned cluster, std::size_t bytes) override
-      OMPMCA_EXCLUDES(mu_);
-  void release(unsigned cluster, void* p) override OMPMCA_EXCLUDES(mu_);
-
- private:
-  struct Slab {
-    void* p = nullptr;
-    std::size_t bytes = 0;
-  };
-
-  SystemBackend& backend_;
-  CapMutex mu_;
-  // cluster -> free slabs
-  std::map<unsigned, std::vector<Slab>> cache_ OMPMCA_GUARDED_BY(mu_);
-  // outstanding sizes
-  std::map<void*, std::size_t> live_ OMPMCA_GUARDED_BY(mu_);
-};
 
 class ThreadPool {
  public:
@@ -149,13 +114,11 @@ class ThreadPool {
 
   /// Region entry, phase 1: claims a dispatch slot and leases up to
   /// @p nthreads - 1 parked workers into @p d (launching any that never
-  /// ran), preferring @p preferred_cluster and spilling least-loaded-first.
-  /// @p level is the nesting level of the team being forked (1 = top
-  /// level).  Returns the width actually achievable: launch failures and
-  /// lease pressure degrade the team instead of blocking or indexing out of
-  /// bounds later.
-  unsigned prepare(Dispatch& d, unsigned nthreads, unsigned preferred_cluster,
-                   unsigned level);
+  /// ran), lowest free workers first.  @p level is the nesting level of the
+  /// team being forked (1 = top level).  Returns the width actually
+  /// achievable: launch failures and lease pressure degrade the team
+  /// instead of blocking or indexing out of bounds later.
+  unsigned prepare(Dispatch& d, unsigned nthreads, unsigned level);
 
   /// Region entry, phase 2: publishes @p fn in @p d's slot and rings the
   /// leased workers' mailboxes; they run fn(1..width-1).  @p nthreads must
@@ -174,22 +137,6 @@ class ThreadPool {
   unsigned workers_launched() const {
     return workers_launched_.load(std::memory_order_relaxed);
   }
-
-  /// Installs the worker-index -> hardware-cluster map the lease policy
-  /// scores candidates with (identity-cluster 0 for every worker until
-  /// set).  Call before the first region.
-  void set_worker_clusters(std::vector<unsigned> clusters,
-                           unsigned num_clusters);
-
-  /// Re-homes the dispatch-slot bank in @p cluster's memory domain via
-  /// @p mem (the masters' descriptors are the fork-path hot stores).  Must
-  /// be called before the first region: workers read slots with no
-  /// synchronisation beyond their mailbox word.  No-op when @p mem cannot
-  /// place the block; the inline bank keeps serving.
-  void home_slab(ClusterMemory* mem, unsigned cluster);
-
-  /// True when the slot bank lives in cluster memory (tests/telemetry).
-  bool slab_cluster_homed() const { return slab_mem_ != nullptr; }
 
  private:
   // Mailbox layout: [seq:48][slot:8][tid:8].  The slot byte routes the
@@ -266,14 +213,12 @@ class ThreadPool {
 
   int claim_slot();
   void release_slot(int slot);
-  /// Picks up to @p wanted bits of @p avail, @p preferred cluster first,
-  /// then clusters by descending free population.
-  std::uint64_t pick_bits(std::uint64_t avail, unsigned wanted,
-                          unsigned preferred) const;
+  /// The lowest @p wanted bits of @p avail (all of them when fewer).
+  static std::uint64_t pick_bits(std::uint64_t avail, unsigned wanted);
   /// CAS-claims up to @p wanted workers from the free set (no waiting).
-  std::uint64_t try_lease(unsigned wanted, unsigned preferred);
+  std::uint64_t try_lease(unsigned wanted);
   /// try_lease plus the bounded OMPMCA_LEASE_WAIT_NS wait-then-degrade.
-  std::uint64_t lease_workers(unsigned wanted, unsigned preferred);
+  std::uint64_t lease_workers(unsigned wanted);
   void release_lease(std::uint64_t lease);
   /// Makes sure every leased worker's thread exists, dropping (and
   /// freeing) the ones whose launch failed.  Returns the surviving lease.
@@ -286,12 +231,7 @@ class ThreadPool {
 
   // --- dispatch slots ---------------------------------------------------------
   alignas(kCacheLineBytes) std::atomic<std::uint32_t> slots_free_;
-  DispatchSlot slots_inline_[kMaxSlots];
-  // Points at slots_inline_ unless home_slab moved the bank into cluster
-  // memory.
-  DispatchSlot* slots_ = slots_inline_;
-  ClusterMemory* slab_mem_ = nullptr;
-  unsigned slab_cluster_ = 0;
+  DispatchSlot slots_[kMaxSlots];
   std::atomic<std::uint64_t> seq_{0};  // global dispatch sequence
   std::atomic<unsigned> in_flight_{0};
   std::atomic<bool> exit_{false};
@@ -303,9 +243,7 @@ class ThreadPool {
   // grows and a relaxed read answers "already launched?".
   std::atomic<std::uint64_t> launched_mask_{0};
   std::atomic<unsigned> workers_launched_{0};
-  std::vector<std::unique_ptr<Bell>> bells_;      // fixed size max_workers_
-  std::vector<unsigned> worker_cluster_;          // pre-region config
-  unsigned num_clusters_ = 1;
+  std::vector<std::unique_ptr<Bell>> bells_;  // fixed size max_workers_
 };
 
 }  // namespace ompmca::gomp

@@ -1,11 +1,8 @@
 #include "gomp/runtime.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <functional>
 #include <mutex>
 #include <string_view>
-#include <thread>
 
 #include "common/log.hpp"
 #include "common/time.hpp"
@@ -74,15 +71,6 @@ std::map<std::uint64_t, std::vector<platform::Work>>& last_meters_map() {
 
 std::atomic<std::uint64_t> g_runtime_serial{0};
 
-/// Spreads concurrent masters' leases across clusters: a stable per-thread
-/// preferred cluster, so one tenant's bursts keep hitting the same L2
-/// while different tenants start from different clusters.
-unsigned preferred_cluster_of_master(const platform::Topology& topo) {
-  const unsigned n = std::max(1u, topo.num_clusters());
-  return static_cast<unsigned>(
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) % n);
-}
-
 /// RAII witness of a region in flight (exception-safe: a throwing body
 /// must not leave the reset guard stuck).
 class RegionInFlight {
@@ -124,61 +112,17 @@ Runtime::Runtime(RuntimeOptions opts)
       backend_(make_backend(opts_)) {
   icvs_ = opts_.icvs ? *opts_.icvs : Icvs::from_env(backend_->num_procs());
   icvs_.num_threads = std::min(icvs_.num_threads, icvs_.thread_limit);
-  // Environment knobs override the option defaults (both are runtime-tuning
-  // switches, same spirit as OMP_WAIT_POLICY).
-  nested_bubble_ = opts_.nested_bubble;
   task_tuning_ = TaskTuning::from_env();
-  if (const char* env = std::getenv("OMPMCA_BARRIER")) {
-    BarrierKind kind;
-    if (parse_barrier_kind(env, &kind)) {
-      opts_.barrier = kind;
-    } else {
-      OMPMCA_LOG_WARN("OMPMCA_BARRIER=%s: unknown barrier kind, ignoring",
-                      env);
-    }
-  }
-  if (const char* env = std::getenv("OMPMCA_NESTED_PLACEMENT")) {
-    const std::string_view v(env);
-    if (v == "flat") {
-      nested_bubble_ = false;
-    } else if (v == "bubble") {
-      nested_bubble_ = true;
-    } else {
-      OMPMCA_LOG_WARN(
-          "OMPMCA_NESTED_PLACEMENT=%s: expected flat|bubble, ignoring", env);
-    }
-  }
-  const platform::Topology& topo = opts_.topology;
-  const unsigned per_cluster =
-      topo.num_clusters() > 0 ? topo.num_hw_threads() / topo.num_clusters()
-                              : topo.num_hw_threads();
-  occupancy_ = std::make_unique<platform::ClusterOccupancy>(
-      topo.num_clusters(), per_cluster);
-  cluster_mem_ = std::make_unique<ClusterSlabCache>(*backend_);
   pool_ = std::make_unique<ThreadPool>(*backend_, icvs_.wait_policy,
                                        opts_.pool_max_workers);
-  // Masters write their dispatch slots every fork; home the slot bank in
-  // the primary master's cluster — placement(0) under either policy.
-  pool_->home_slab(cluster_mem_.get(),
-                   topo.cluster_of_hw_thread(topo.placement(0)));
-  // Worker index -> home cluster for the lease policy's affinity scoring
-  // (index i historically ran as tid i + 1; keep that placement model).
-  std::vector<unsigned> worker_clusters(ThreadPool::kMaxWorkers);
-  for (unsigned i = 0; i < ThreadPool::kMaxWorkers; ++i) {
-    worker_clusters[i] = topo.cluster_of_hw_thread(topo.placement(i + 1));
-  }
-  pool_->set_worker_clusters(std::move(worker_clusters), topo.num_clusters());
 }
 
 Runtime::~Runtime() {
   // Pool (and its backend threads / MRAPI worker nodes) must retire before
-  // the backend is destroyed; it releases its slab into cluster_mem_, which
-  // frees through the backend, so the order is pool -> cache -> backend.
-  // Hot teams go first: their barriers release into cluster_mem_ too.
+  // the backend is destroyed.
   for (auto& team : hot_teams_) team.reset();
   pool_.reset();
   criticals_.clear();
-  cluster_mem_.reset();
   backend_.reset();
 }
 
@@ -322,17 +266,12 @@ void Runtime::parallel(FunctionRef<void(ParallelContext&)> body,
   // tenant, or a team thread forking a nested region — claims a slot and
   // leases parked workers first: the returned width reflects launch
   // failures *and* lease/slot pressure, so the team (and its barrier) never
-  // waits on a thread that does not exist.  A nested master prefers the
-  // workers of its own cluster; a top-level one spreads by thread.
+  // waits on a thread that does not exist.
   const unsigned requested = n;
   const bool meter = !nested && obs::enabled();
   const std::uint64_t fork_t0 = meter ? monotonic_nanos() : 0;
-  const unsigned preferred =
-      nested ? outer->team().cluster_of_thread(outer->thread_num())
-             : preferred_cluster_of_master(opts_.topology);
   ThreadPool::Dispatch dispatch;
-  n = pool_->prepare(dispatch, n, preferred,
-                     nested ? outer->level() + 1 : 1);
+  n = pool_->prepare(dispatch, n, nested ? outer->level() + 1 : 1);
   // A top-level region runs on its slot's hot team when the width matches;
   // nested regions, and any width change, build a fresh team.
   std::optional<Team> fresh;

@@ -17,7 +17,6 @@
 #include "gomp/pool.hpp"
 #include "gomp/team.hpp"
 #include "mrapi/types.hpp"
-#include "platform/partition.hpp"
 #include "platform/topology.hpp"
 
 namespace ompmca::gomp {
@@ -34,14 +33,6 @@ struct RuntimeOptions {
   mrapi::DomainId domain = 0;
   /// Defaults to Icvs::from_env(backend num_procs).
   std::optional<Icvs> icvs;
-  /// Barrier request; kAuto resolves per team (hierarchical when the team
-  /// spans >1 cluster, central otherwise).  OMPMCA_BARRIER overrides.
-  BarrierKind barrier = BarrierKind::kAuto;
-  /// Nested-team bubble placement: pin a nested region that fits inside one
-  /// cluster to a single cluster (the master's, spilling to the
-  /// least-loaded) instead of scattering it board-wide.
-  /// OMPMCA_NESTED_PLACEMENT=flat|bubble overrides.
-  bool nested_bubble = true;
   /// Worker-lease capacity of the pool (clamped to ThreadPool::kMaxWorkers).
   /// Small caps make lease pressure deterministic — the concurrent-masters
   /// tests pin this to force width degradation.
@@ -77,14 +68,8 @@ class Runtime {
   SystemBackend& backend() { return *backend_; }
   Icvs& icvs() { return icvs_; }
   const Icvs& icvs() const { return icvs_; }
-  BarrierKind barrier_kind() const { return opts_.barrier; }
   const platform::Topology& topology() const { return opts_.topology; }
   ThreadPool& pool() { return *pool_; }
-  /// Cluster-homed slab allocator for barrier/team state (never null).
-  ClusterMemory* cluster_memory() { return cluster_mem_.get(); }
-  /// Per-cluster load accounting behind nested-team bubble placement.
-  platform::ClusterOccupancy& occupancy() { return *occupancy_; }
-  bool nested_bubble() const { return nested_bubble_; }
   /// Task-scheduler knobs, parsed once at construction.
   const TaskTuning& task_tuning() const { return task_tuning_; }
 
@@ -151,11 +136,8 @@ class Runtime {
   RuntimeOptions opts_;
   std::unique_ptr<SystemBackend> backend_;
   Icvs icvs_;
-  bool nested_bubble_ = true;
-  // Destruction order matters: pool_ (workers, slab) retires into
-  // cluster_mem_, which frees through backend_ — see ~Runtime.
-  std::unique_ptr<ClusterSlabCache> cluster_mem_;
-  std::unique_ptr<platform::ClusterOccupancy> occupancy_;
+  // Destruction order matters: pool_ (workers) retires before backend_ —
+  // see ~Runtime.
   std::unique_ptr<ThreadPool> pool_;
   // The hot team of each dispatch slot: the last top-level team forked
   // through it, reused by the slot's next top-level region of the same

@@ -12,7 +12,7 @@
 
 namespace ompmca::gomp {
 
-TaskSystem::TaskSystem() { configure(1, nullptr); }
+TaskSystem::TaskSystem() { configure(1); }
 
 TaskSystem::~TaskSystem() { clear_dep_table(); }
 
@@ -47,10 +47,8 @@ TaskTuning TaskTuning::from_env() {
   return t;
 }
 
-void TaskSystem::configure(unsigned nthreads, const unsigned* cluster_of_thread,
-                           const TaskTuning& tuning) {
+void TaskSystem::configure(unsigned nthreads, const TaskTuning& tuning) {
   nthreads_ = nthreads > 0 ? nthreads : 1;
-  cluster_of_thread_ = cluster_of_thread;
   tuning_ = tuning;
   deques_.clear();
   deques_.reserve(nthreads_);
@@ -276,32 +274,20 @@ Task* TaskSystem::take(unsigned tid, bool* stolen) {
   if (t != nullptr) return t;
   const unsigned n = nthreads_;
   if (n <= 1) return nullptr;
-  const bool clustered = cluster_of_thread_ != nullptr;
-  const unsigned my_cluster = clustered ? cluster_of_thread_[tid] : 0;
-  const int passes = clustered ? 2 : 1;
-  // Pass 0: victims sharing our cluster's L2; pass 1: across CoreNet —
-  // the loop scheduler's steal_range order, applied to task deques.
-  for (int pass = 0; pass < passes; ++pass) {
-    for (unsigned off = 1; off < n; ++off) {
-      const unsigned v = (tid + off) % n;
-      const bool local = !clustered || cluster_of_thread_[v] == my_cluster;
-      if (passes == 2 && (pass == 0) != local) continue;
-      for (;;) {
-        bool lost_race = false;
-        Task* s = deques_[v]->steal(&lost_race);
-        if (s != nullptr) {
-          obs::count(obs::Counter::kGompTaskStolen);
-          obs::count(local ? obs::Counter::kGompTaskStolenLocal
-                           : obs::Counter::kGompTaskStolenRemote);
-          if (obs::trace::verbose()) {
-            obs::trace::instant(obs::trace::Type::kTaskSteal, v,
-                                local ? 1 : 0);
-          }
-          *stolen = true;
-          return s;
+  for (unsigned off = 1; off < n; ++off) {
+    const unsigned v = (tid + off) % n;
+    for (;;) {
+      bool lost_race = false;
+      Task* s = deques_[v]->steal(&lost_race);
+      if (s != nullptr) {
+        obs::count(obs::Counter::kGompTaskStolen);
+        if (obs::trace::verbose()) {
+          obs::trace::instant(obs::trace::Type::kTaskSteal, v);
         }
-        if (!lost_race) break;  // victim drained; try the next one
+        *stolen = true;
+        return s;
       }
+      if (!lost_race) break;  // victim drained; try the next one
     }
   }
   return nullptr;

@@ -4,9 +4,8 @@
 // Scheduling is per-worker Chase-Lev deques (task_deque.hpp): the owning
 // thread pushes and pops its own bottom end LIFO (cache-warm, no
 // contention), idle threads steal the top end FIFO, visiting victims in
-// the same cluster-first order as the loop scheduler's range stealing —
-// same-cluster L2 neighbours before a CoreNet hop (platform::Topology via
-// Team's thread->cluster map).
+// one pass from their right-hand neighbour ((tid + off) % n), the loop
+// scheduler's range-stealing order.
 //
 // Lifetime is intrusive refcounting: a Task record is born with one
 // reference (held by whichever deque or dependence edge currently owns the
@@ -88,12 +87,9 @@ class TaskSystem {
   TaskSystem(const TaskSystem&) = delete;
   TaskSystem& operator=(const TaskSystem&) = delete;
 
-  /// Sizes the per-worker deques, adopts the team's thread->cluster map
-  /// (borrowed; may be nullptr for no cluster structure) and the runtime's
-  /// @p tuning.  Call before any spawn, from single-threaded context (Team
-  /// construction).
-  void configure(unsigned nthreads, const unsigned* cluster_of_thread,
-                 const TaskTuning& tuning = {});
+  /// Sizes the per-worker deques and adopts the runtime's @p tuning.  Call
+  /// before any spawn, from single-threaded context (Team construction).
+  void configure(unsigned nthreads, const TaskTuning& tuning = {});
 
   /// Returns a quiescent task system (a finished region's) to its fresh
   /// state for a reused team: the progress epoch back to zero, so the
@@ -176,7 +172,6 @@ class TaskSystem {
   void park(std::uint64_t epoch);
 
   unsigned nthreads_ = 1;
-  const unsigned* cluster_of_thread_ = nullptr;  // borrowed from the Team
   std::vector<std::unique_ptr<TaskDeque>> deques_;
   std::atomic<std::uint32_t> executing_{0};
 

@@ -26,33 +26,6 @@ namespace {
   return h;
 }
 
-obs::Hist barrier_wait_hist(BarrierKind k) {
-  switch (k) {
-    case BarrierKind::kCentral: return obs::Hist::kGompBarrierWaitCentralNs;
-    case BarrierKind::kTree: return obs::Hist::kGompBarrierWaitTreeNs;
-    case BarrierKind::kHierarchical:
-      return obs::Hist::kGompBarrierWaitHierarchicalNs;
-    case BarrierKind::kAuto:
-      break;  // teams cache the *effective* kind; kAuto never reaches here
-  }
-  return obs::Hist::kGompBarrierWaitCentralNs;
-}
-
-unsigned distinct_clusters(const std::vector<unsigned>& cluster_of_thread) {
-  unsigned spanned = 0;
-  for (std::size_t i = 0; i < cluster_of_thread.size(); ++i) {
-    bool seen = false;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (cluster_of_thread[j] == cluster_of_thread[i]) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) ++spanned;
-  }
-  return spanned;
-}
-
 /// Always-on worksharing-loop protocol guard: loop_next/loop_end without an
 /// open loop used to dereference a null descriptor in release builds, where
 /// the only guard was a debug assert.
@@ -86,58 +59,10 @@ Team::Team(Runtime& rt, unsigned nthreads, ParallelContext* parent_ctx)
       parent_ctx_(parent_ctx),
       inherited_env_(rt.env_icvs()),
       spin_ns_(spin_window_ns(rt.icvs().wait_policy, nthreads)),
-      cluster_of_thread_(nthreads),
+      barrier_(nthreads, rt.icvs().wait_policy),
       meters_(nthreads),
       reduce_slots_(nthreads) {
-  const platform::Topology& topo = rt.topology();
-  const platform::PlacementPolicy place =
-      rt.icvs().proc_bind == ProcBind::kClose
-          ? platform::PlacementPolicy::kCompact
-          : platform::PlacementPolicy::kScatter;
-  for (unsigned i = 0; i < nthreads_; ++i) {
-    cluster_of_thread_[i] =
-        topo.cluster_of_hw_thread(topo.placement(i, place));
-  }
-  // Bubble placement: a nested region that fits inside one cluster is
-  // pinned there — preferring the master's own cluster so the sub-team
-  // shares the data its parent thread already has in that L2 — instead of
-  // inheriting the board-wide scatter.  Under scatter even a 4-thread
-  // nested team would span all three clusters and pay CoreNet on every
-  // barrier; as a bubble its barrier collapses to the flat in-cluster tree.
-  if (parent_ctx_ != nullptr && nthreads_ > 1 && rt.nested_bubble() &&
-      topo.num_clusters() > 1) {
-    const unsigned per_cluster = topo.num_hw_threads() / topo.num_clusters();
-    if (nthreads_ <= per_cluster) {
-      const unsigned preferred = parent_ctx_->team().cluster_of_thread(
-          parent_ctx_->thread_num());
-      if (auto cluster =
-              rt.occupancy().reserve_bubble(nthreads_, preferred)) {
-        bubble_cluster_ = *cluster;
-        std::fill(cluster_of_thread_.begin(), cluster_of_thread_.end(),
-                  *cluster);
-        obs::count(*cluster == preferred
-                       ? obs::Counter::kGompTeamBubble
-                       : obs::Counter::kGompTeamBubbleSpill);
-      }
-    }
-  }
-  // Width-1 fast path: nothing to rendezvous, so no barrier object at all —
-  // ParallelContext::barrier() degenerates to a task drain.
-  barrier_kind_ = effective_barrier_kind(rt.barrier_kind(),
-                                         rt.icvs().wait_policy,
-                                         distinct_clusters(cluster_of_thread_));
-  if (nthreads_ > 1) {
-    barrier_ = make_barrier(rt.barrier_kind(), nthreads_,
-                            rt.icvs().wait_policy, cluster_of_thread_.data(),
-                            rt.cluster_memory());
-  }
-  // The task deques steal in the same cluster-first victim order as the
-  // loop scheduler; hand them the thread->cluster map just built.
-  tasks_.configure(nthreads_, cluster_of_thread_.data(), rt.task_tuning());
-}
-
-Team::~Team() {
-  if (bubble_cluster_) rt_.occupancy().release(*bubble_cluster_, nthreads_);
+  tasks_.configure(nthreads_, rt.task_tuning());
 }
 
 void Team::run_thread(unsigned tid, FunctionRef<void(ParallelContext&)> body) {
@@ -215,34 +140,21 @@ void ParallelContext::barrier() {
   // no sense flip, no telemetry noise for serialized regions.  The
   // held-lock audit still applies: a barrier under a lock is a program
   // bug regardless of team width (wider runs would deadlock).
-  if (team_->barrier_ == nullptr) {
+  if (team_->nthreads_ == 1) {
     OMPMCA_CHECK_BARRIER_HELD();
     return;
   }
   if (obs::enabled() || obs::trace::enabled()) {
-    const BarrierKind kind = team_->barrier_kind_;
-    if (obs::enabled()) {
-      obs::count(obs::Counter::kGompBarrier);
-      // Arrival locality for the flat algorithms: every thread converges on
-      // barrier state homed in the master's cluster, so any arrival from
-      // another cluster crosses CoreNet — O(n) crossings per barrier.  The
-      // hierarchical barrier self-counts (only cluster leaders cross).
-      if (kind != BarrierKind::kHierarchical) {
-        obs::count(team_->cluster_of_thread_[tid_] ==
-                           team_->cluster_of_thread_[0]
-                       ? obs::Counter::kGompBarrierLocal
-                       : obs::Counter::kGompBarrierXCluster);
-      }
-    }
+    obs::count(obs::Counter::kGompBarrier);
     const std::uint64_t t0 = monotonic_nanos();
-    team_->barrier_->arrive_and_wait(tid_);
+    team_->barrier_.arrive_and_wait();
     if (obs::enabled()) {
-      obs::record(barrier_wait_hist(kind), monotonic_nanos() - t0);
+      obs::record(obs::Hist::kGompBarrierWaitCentralNs,
+                  monotonic_nanos() - t0);
     }
-    obs::trace::complete(obs::trace::Type::kBarrier, t0,
-                         static_cast<std::uint64_t>(kind), team_->nthreads_);
+    obs::trace::complete(obs::trace::Type::kBarrier, t0, team_->nthreads_);
   } else {
-    team_->barrier_->arrive_and_wait(tid_);
+    team_->barrier_.arrive_and_wait();
   }
 }
 
@@ -285,8 +197,7 @@ bool ParallelContext::next_static_chunk(const StaticLoop& loop, long* pos,
 LoopInstance& ParallelContext::enter_shared_loop(long begin, long end,
                                                  ScheduleSpec spec) {
   LoopInstance& loop = team_->loops_[loop_gen_ % kWorkshareRing];
-  loop.enter(loop_gen_, begin, end, spec, team_->nthreads_,
-             team_->cluster_of_thread_.data(), team_->spin_ns_);
+  loop.enter(loop_gen_, begin, end, spec, team_->nthreads_, team_->spin_ns_);
   ++loop_gen_;
   return loop;
 }

@@ -1,13 +1,13 @@
 // Team execution: the fork-join core of the runtime.
 //
 // A Team is the shared state one parallel region runs on: N implicit
-// tasks, a barrier, a ring of worksharing descriptors, a single/sections/
-// critical substrate, a task queue and per-thread work meters.  Nested
-// regions and width-1 regions build a fresh Team per fork.  A top-level
-// region instead runs on its dispatch slot's hot team (Runtime keeps one
-// per ThreadPool slot): the team of the slot's previous region, reset(),
-// when the width matches — libGOMP's hot-team idea, which takes team
-// construction off the fork path.  Each participating thread runs the
+// tasks, one central barrier, a ring of worksharing descriptors, a
+// single/sections/critical substrate, a task queue and per-thread work
+// meters.  Nested regions and width-1 regions build a fresh Team per fork.
+// A top-level region instead runs on its dispatch slot's hot team (Runtime
+// keeps one per ThreadPool slot): the team of the slot's previous region,
+// reset(), when the width matches — libGOMP's hot-team idea, which takes
+// team construction off the fork path.  Each participating thread runs the
 // region body with a ParallelContext — the handle through which all OpenMP
 // semantics (barrier, for, single, master, critical, sections, ordered,
 // reduction, tasks) are expressed.
@@ -196,7 +196,6 @@ class ParallelContext {
 class Team {
  public:
   Team(Runtime& rt, unsigned nthreads, ParallelContext* parent_ctx);
-  ~Team();
 
   /// Nesting depth: 1 for a top-level region, parent + 1 for nested ones.
   unsigned level() const { return level_; }
@@ -210,18 +209,9 @@ class Team {
   unsigned nthreads() const { return nthreads_; }
   Runtime& runtime() { return rt_; }
 
-  /// The effective barrier algorithm this team runs (resolved once at
-  /// construction from the request, wait policy and clusters spanned).
-  BarrierKind barrier_kind() const { return barrier_kind_; }
-  /// The hardware cluster thread @p tid is placed on.
-  unsigned cluster_of_thread(unsigned tid) const {
-    return cluster_of_thread_[tid];
-  }
-  /// The cluster a nested bubble team was pinned to, or nullopt for flat
-  /// placement (top-level teams, oversized or spill-refused nested ones).
-  std::optional<unsigned> bubble_cluster() const { return bubble_cluster_; }
-  /// nullptr for width-1 teams (the barrier fast path).
-  const TeamBarrier* team_barrier() const { return barrier_.get(); }
+  /// The barrier algorithm this team runs: always kCentral (kept for the
+  /// bench configs that report it).
+  BarrierKind barrier_kind() const { return BarrierKind::kCentral; }
 
   /// Runs @p body as thread @p tid of this team (called by the pool/master).
   void run_thread(unsigned tid, FunctionRef<void(ParallelContext&)> body);
@@ -262,13 +252,7 @@ class Team {
   EnvIcvs inherited_env_;
   // Spin window for waits inside worksharing constructs (ring claims).
   std::uint64_t spin_ns_ = 0;
-  BarrierKind barrier_kind_ = BarrierKind::kCentral;
-  std::unique_ptr<TeamBarrier> barrier_;
-  // Thread -> hardware cluster, from the topology's placement under the
-  // proc-bind ICV (or all one cluster for a nested bubble team); feeds the
-  // loop scheduler's cluster-local steal pass and the hierarchical barrier.
-  std::vector<unsigned> cluster_of_thread_;
-  std::optional<unsigned> bubble_cluster_;
+  CentralBarrier barrier_;
   std::array<LoopInstance, kWorkshareRing> loops_;
   std::array<SectionsInstance, kWorkshareRing> sections_;
   std::atomic<unsigned long> single_counter_{0};

@@ -1,12 +1,13 @@
 // Spin-then-park: the one way a runtime thread waits for another.
 //
-// Five places wait on a peer: a pool worker on its mailbox, a master on
-// its team's join, and the central, tree and hierarchical barriers.  All
-// of them call spin_then_park(): relax-spin on the wait predicate for a
-// bounded window, sched_yield after every short burst of pauses (a spinner
-// never holds a core a runnable peer needs for long), then park on a
-// Parker — mutex + condvar + a sleeper count that makes the wake a
-// Dekker pair, so a waker that finds nobody parked pays no syscall.
+// Four places wait on a peer: a pool worker on its mailbox, a master on
+// its team's join, a team thread in the central barrier, and a workshare
+// ring claim (gomp/workshare.hpp).  All of them call spin_then_park():
+// relax-spin on the wait predicate for a bounded window, sched_yield after
+// every short burst of pauses (a spinner never holds a core a runnable
+// peer needs for long), then park on a Parker — mutex + condvar + a
+// sleeper count that makes the wake a Dekker pair, so a waker that finds
+// nobody parked pays no syscall.
 //
 // The window comes from the wait policy (OMP_WAIT_POLICY) and the team
 // width, resolved once per team by spin_window_ns():

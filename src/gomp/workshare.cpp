@@ -58,16 +58,13 @@ void RingClaim::reset() {
 
 void LoopInstance::enter(unsigned long gen, long begin, long end,
                          ScheduleSpec spec, unsigned nthreads,
-                         const unsigned* cluster_of_thread,
                          std::uint64_t spin_ns) {
-  claim_.enter(gen, nthreads, spin_ns, [&] {
-    configure(begin, end, spec, nthreads, cluster_of_thread);
-  });
+  claim_.enter(gen, nthreads, spin_ns,
+               [&] { configure(begin, end, spec, nthreads); });
 }
 
 void LoopInstance::configure(long begin, long end, ScheduleSpec spec,
-                             unsigned nthreads,
-                             const unsigned* cluster_of_thread) {
+                             unsigned nthreads) {
   begin_ = begin;
   end_ = end;
   spec_ = spec;
@@ -77,7 +74,6 @@ void LoopInstance::configure(long begin, long end, ScheduleSpec spec,
     spec_.chunk = 1;
   }
   nthreads_ = nthreads;
-  cluster_of_ = cluster_of_thread;
   const long total = end - begin;
   // Distribute only when each thread gets enough chunks to amortise the
   // machinery: a loop with ~one chunk per thread pays the O(nthreads)
@@ -144,52 +140,42 @@ bool LoopInstance::claim_local(unsigned slot, long* lo, long* hi) {
 
 bool LoopInstance::steal_range(unsigned tid, long* lo, long* hi) {
   const unsigned n = nthreads_;
-  const unsigned my_cluster = cluster_of_ != nullptr ? cluster_of_[tid] : 0;
-  const int passes = cluster_of_ != nullptr ? 2 : 1;
   for (;;) {
     bool any_work = false;
-    // Pass 0: victims sharing our cluster's L2; pass 1: across CoreNet.
-    for (int pass = 0; pass < passes; ++pass) {
-      for (unsigned off = 1; off < n; ++off) {
-        const unsigned v = (tid + off) % n;
-        const bool local =
-            cluster_of_ == nullptr || cluster_of_[v] == my_cluster;
-        if (passes == 2 && (pass == 0) != local) continue;
-        std::uint64_t cur = ranges_[v].range.load(std::memory_order_acquire);
-        for (;;) {
-          const std::uint32_t v_lo = range_lo(cur);
-          const std::uint32_t v_hi = range_hi(cur);
-          if (v_lo >= v_hi) break;
-          any_work = true;
-          obs::count(obs::Counter::kGompLoopStealAttempt);
-          if (obs::trace::verbose()) {
-            obs::trace::instant(obs::trace::Type::kStealAttempt, v);
-          }
-          // Victim keeps the front half (its cache-warm prefix); we take
-          // the back half.  A one-iteration range is taken whole.
-          const std::uint32_t mid = v_lo + (v_hi - v_lo) / 2;
-          if (ranges_[v].range.compare_exchange_weak(
-                  cur, pack(v_lo, mid), std::memory_order_acq_rel,
-                  std::memory_order_acquire)) {
-            obs::count(obs::Counter::kGompLoopSteal);
-            obs::count(local ? obs::Counter::kGompLoopStealLocal
-                             : obs::Counter::kGompLoopStealRemote);
-            if (obs::trace::verbose()) {
-              obs::trace::instant(obs::trace::Type::kSteal, v, local ? 1 : 0);
-            }
-            const std::uint32_t take = claim_size(v_hi - mid);
-            if (mid + take < v_hi) {
-              // Park the rest in our own slot (empty — that's why we're
-              // stealing; only the owner ever refills it).
-              ranges_[tid].range.store(pack(mid + take, v_hi),
-                                       std::memory_order_release);
-            }
-            *lo = begin_ + static_cast<long>(mid);
-            *hi = begin_ + static_cast<long>(mid + take);
-            return true;
-          }
-          // Lost the race; re-examine this victim with the fresh value.
+    for (unsigned off = 1; off < n; ++off) {
+      const unsigned v = (tid + off) % n;
+      std::uint64_t cur = ranges_[v].range.load(std::memory_order_acquire);
+      for (;;) {
+        const std::uint32_t v_lo = range_lo(cur);
+        const std::uint32_t v_hi = range_hi(cur);
+        if (v_lo >= v_hi) break;
+        any_work = true;
+        obs::count(obs::Counter::kGompLoopStealAttempt);
+        if (obs::trace::verbose()) {
+          obs::trace::instant(obs::trace::Type::kStealAttempt, v);
         }
+        // Victim keeps the front half (its cache-warm prefix); we take the
+        // back half.  A one-iteration range is taken whole.
+        const std::uint32_t mid = v_lo + (v_hi - v_lo) / 2;
+        if (ranges_[v].range.compare_exchange_weak(
+                cur, pack(v_lo, mid), std::memory_order_acq_rel,
+                std::memory_order_acquire)) {
+          obs::count(obs::Counter::kGompLoopSteal);
+          if (obs::trace::verbose()) {
+            obs::trace::instant(obs::trace::Type::kSteal, v);
+          }
+          const std::uint32_t take = claim_size(v_hi - mid);
+          if (mid + take < v_hi) {
+            // Park the rest in our own slot (empty — that's why we're
+            // stealing; only the owner ever refills it).
+            ranges_[tid].range.store(pack(mid + take, v_hi),
+                                     std::memory_order_release);
+          }
+          *lo = begin_ + static_cast<long>(mid);
+          *hi = begin_ + static_cast<long>(mid + take);
+          return true;
+        }
+        // Lost the race; re-examine this victim with the fresh value.
       }
     }
     if (!any_work) return false;

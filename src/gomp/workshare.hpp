@@ -18,12 +18,12 @@
 // leaver to free it.  No thread takes a lock on the way in or out.
 //
 // Dynamic and guided schedules use distributed per-thread ranges with
-// cluster-aware work-stealing instead of one shared cursor: the iteration
-// space is pre-sliced into one contiguous range per thread (a single packed
-// 64-bit atomic each, cache-line padded), owners claim chunks off the front
-// of their own range, and a thread whose range runs dry steals the back
-// half of a victim's range — preferring victims in its own cluster (same
-// shared L2) before crossing clusters over CoreNet.  Every iteration has a
+// work-stealing instead of one shared cursor: the iteration space is
+// pre-sliced into one contiguous range per thread (a single packed 64-bit
+// atomic each, cache-line padded), owners claim chunks off the front of
+// their own range, and a thread whose range runs dry steals the back half
+// of a victim's range, scanning victims in one pass from its right-hand
+// neighbour ((tid + off) % n).  Every iteration has a
 // unique remover (owner CAS on the front, thief CAS on the back), so
 // exactly-once execution holds by construction.  Loops too large for the
 // 32-bit packed offsets, width-1 teams, and loops too small to amortise the
@@ -111,12 +111,9 @@ class LoopInstance {
  public:
   /// Joins generation @p gen (see RingClaim): the first arriver configures
   /// the descriptor, later arrivers wait for its publication.
-  /// @p cluster_of_thread (optional, length nthreads, must outlive the
-  /// construct) drives cluster-local victim preference when stealing.
   /// @p spin_ns is the team's spin window for the claim's waits.
   void enter(unsigned long gen, long begin, long end, ScheduleSpec spec,
-             unsigned nthreads, const unsigned* cluster_of_thread = nullptr,
-             std::uint64_t spin_ns = 0);
+             unsigned nthreads, std::uint64_t spin_ns = 0);
 
   /// Next chunk for @p tid; false when no work is left anywhere (stealing
   /// schedules) or the thread's share is exhausted (static).
@@ -176,13 +173,12 @@ class LoopInstance {
   std::uint32_t claim_size(std::uint32_t len) const;
   /// Claims the next chunk off the front of @p slot's own range.
   bool claim_local(unsigned slot, long* lo, long* hi);
-  /// Scans victims (same cluster first) and steals the back half of one.
+  /// Scans victims in one pass and steals the back half of one.
   bool steal_range(unsigned tid, long* lo, long* hi);
 
   /// The claiming thread's half of enter(): writes the configuration that
   /// the claim then publishes to the generation's other threads.
-  void configure(long begin, long end, ScheduleSpec spec, unsigned nthreads,
-                 const unsigned* cluster_of_thread);
+  void configure(long begin, long end, ScheduleSpec spec, unsigned nthreads);
 
   // The configuration below is written by the claiming thread and read
   // lock-free by the team once claim_ publishes it.
@@ -192,7 +188,6 @@ class LoopInstance {
   ScheduleSpec spec_;
   unsigned nthreads_ = 1;
   bool distributed_ = false;
-  const unsigned* cluster_of_ = nullptr;
   unsigned ranges_cap_ = 0;
   std::unique_ptr<RangeSlot[]> ranges_;
   alignas(kCacheLineBytes) std::atomic<long> cursor_{0};

@@ -6,21 +6,12 @@
 // allocator.  Heap-mode segments (the paper's use_malloc extension) bypass
 // the arena entirely — that contrast is what bench/ablation_shmem_mode
 // measures.
-//
-// Topology awareness: the arena can be partitioned into per-cluster
-// sub-pools (one per L2 domain of the modeled board).  A caller that knows
-// which cluster will touch a segment passes a cluster hint and the block is
-// carved from that cluster's pool — the model's stand-in for NUMA-/
-// cache-domain-local placement, witnessed by the mrapi.arena_cluster_local /
-// mrapi.arena_cluster_spill counters.  Hint-less callers (and the default
-// single-pool construction) see exactly the historical first-fit behaviour.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <map>
 #include <memory>
-#include <vector>
 
 #include "common/annotations.hpp"
 #include "common/expected.hpp"
@@ -28,64 +19,36 @@
 
 namespace ompmca::mrapi {
 
-/// "No placement preference" cluster hint.
-inline constexpr unsigned kAnyCluster = 0xffffffffu;
-
 class SystemShmArena {
  public:
-  /// @p num_clusters sub-pools split the capacity evenly; 1 (the default)
-  /// reproduces the single flat arena.
-  explicit SystemShmArena(std::size_t capacity_bytes,
-                          unsigned num_clusters = 1);
+  explicit SystemShmArena(std::size_t capacity_bytes);
 
   SystemShmArena(const SystemShmArena&) = delete;
   SystemShmArena& operator=(const SystemShmArena&) = delete;
 
   /// First-fit allocation, 64-byte aligned; kOutOfResources when exhausted.
-  /// With a valid @p cluster_hint the block is carved from that cluster's
-  /// sub-pool when possible, spilling to the least-loaded other pool (the
-  /// locality/spill split is counted).  kAnyCluster scans pools least-loaded
-  /// first with no locality accounting.
-  Result<void*> allocate(std::size_t bytes,
-                         unsigned cluster_hint = kAnyCluster);
+  Result<void*> allocate(std::size_t bytes) OMPMCA_EXCLUDES(mu_);
 
-  /// Returns a block to its pool's free list (coalescing neighbours).
-  /// Pointers outside [base, base+capacity) are rejected with
-  /// kInvalidArgument *before* any offset arithmetic — a foreign pointer
-  /// must never turn into undefined pointer subtraction.
-  Status release(void* ptr);
+  /// Returns a block to the free list (coalescing neighbours).  Pointers
+  /// outside [base, base+capacity) are rejected with kInvalidArgument
+  /// *before* any offset arithmetic — a foreign pointer must never turn
+  /// into undefined pointer subtraction.
+  Status release(void* ptr) OMPMCA_EXCLUDES(mu_);
 
   std::size_t capacity() const { return capacity_; }
   /// Bytes currently allocated.  O(1): a running counter maintained by
   /// allocate()/release(), safe to call from hot telemetry paths.
   std::size_t used() const;
-  std::size_t free_blocks() const;
-
-  unsigned num_pools() const { return static_cast<unsigned>(pools_.size()); }
-  /// The sub-pool @p ptr was carved from (for tests/diagnostics); num_pools()
-  /// when the pointer is not an arena block.
-  unsigned pool_of(const void* ptr) const;
+  std::size_t free_blocks() const OMPMCA_EXCLUDES(mu_);
 
  private:
-  // One cluster's slice of the backing store.  Holds a mutex, so pools are
-  // heap-allocated for address stability.
-  struct Pool {
-    std::size_t base = 0;  // offset into storage_
-    std::size_t size = 0;
-    mutable CapMutex mu;
-    // offset -> size
-    std::map<std::size_t, std::size_t> free_list OMPMCA_GUARDED_BY(mu);
-    std::map<std::size_t, std::size_t> allocated OMPMCA_GUARDED_BY(mu);
-    std::size_t used OMPMCA_GUARDED_BY(mu) = 0;
-  };
-
-  void* allocate_in_pool(Pool& pool, std::size_t need)
-      OMPMCA_EXCLUDES(pool.mu);
-
   std::size_t capacity_;
   std::unique_ptr<std::byte[]> storage_;
   std::size_t base_offset_adjust_ = 0;
-  std::vector<std::unique_ptr<Pool>> pools_;
+  mutable CapMutex mu_;
+  // offset -> size
+  std::map<std::size_t, std::size_t> free_list_ OMPMCA_GUARDED_BY(mu_);
+  std::map<std::size_t, std::size_t> allocated_ OMPMCA_GUARDED_BY(mu_);
   std::atomic<std::size_t> used_bytes_{0};
 };
 

@@ -11,7 +11,7 @@ DomainState::DomainState(DomainId id, platform::Topology topo,
     : id_(id),
       topo_(std::move(topo)),
       tree_(platform::build_resource_tree(topo_)),
-      arena_(system_shm_bytes, topo_.num_clusters()) {}
+      arena_(system_shm_bytes) {}
 
 DomainState::~DomainState() {
   // Join any worker threads whose nodes were never finalized so teardown

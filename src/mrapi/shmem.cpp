@@ -18,7 +18,7 @@ Shmem::Shmem(ResourceKey key, std::size_t size, ShmemAttributes attrs,
   } else {
     bool arena_failed = false;
     if (!inject) {
-      auto r = arena_->allocate(size_, attrs_.cluster_hint);
+      auto r = arena_->allocate(size_);
       base_ = r ? *r : nullptr;
       arena_failed = base_ == nullptr;
     }

@@ -46,10 +46,6 @@ enum class ShmemMode {
   kHeap,    // process-heap allocation, freed when deleted (paper extension)
 };
 
-/// "No placement preference" for ShmemAttributes::cluster_hint (mirrors
-/// SystemShmArena's kAnyCluster).
-inline constexpr unsigned kShmemAnyCluster = 0xffffffffu;
-
 struct ShmemAttributes {
   ShmemMode mode = ShmemMode::kSystem;
   bool use_malloc = false;  // paper's attribute name; true implies kHeap
@@ -59,9 +55,6 @@ struct ShmemAttributes {
   // failing the create.  Callers that need the system-segment semantics
   // (inter-process visibility, survival across detach) opt out.
   bool allow_heap_fallback = true;
-  // Topology placement: carve the segment from this cluster's arena
-  // sub-pool (the modeled L2/NUMA domain) when the arena is partitioned.
-  unsigned cluster_hint = kShmemAnyCluster;
 };
 
 /// Remote-memory access mechanism (§2B.2): direct load/store when the

@@ -60,20 +60,12 @@ std::string_view name(Counter c) {
     case Counter::kGompTaskSpawned: return "gomp.task_spawned";
     case Counter::kGompTaskloop: return "gomp.taskloop";
     case Counter::kGompTaskStolen: return "gomp.task_stolen";
-    case Counter::kGompTaskStolenLocal: return "gomp.task_stolen_local";
-    case Counter::kGompTaskStolenRemote: return "gomp.task_stolen_remote";
     case Counter::kGompPoolDispatch: return "gomp.pool_dispatch";
-    case Counter::kGompBarrierLocal: return "gomp.barrier_local";
-    case Counter::kGompBarrierXCluster: return "gomp.barrier_xcluster";
     case Counter::kGompTeamDegraded: return "gomp.team_degraded";
     case Counter::kGompTeamMultiplexed: return "gomp.team_multiplexed";
     case Counter::kGompLeaseDegraded: return "gomp.lease_degraded";
-    case Counter::kGompTeamBubble: return "gomp.team_bubble";
-    case Counter::kGompTeamBubbleSpill: return "gomp.team_bubble_spill";
     case Counter::kGompLoopStealAttempt: return "gomp.loop_steal_attempt";
     case Counter::kGompLoopSteal: return "gomp.loop_steal";
-    case Counter::kGompLoopStealLocal: return "gomp.loop_steal_local";
-    case Counter::kGompLoopStealRemote: return "gomp.loop_steal_remote";
     case Counter::kMrapiMutexAcquire: return "mrapi.mutex_acquire";
     case Counter::kMrapiMutexContended: return "mrapi.mutex_contended";
     case Counter::kMrapiNodeCreate: return "mrapi.node_create";
@@ -82,8 +74,6 @@ std::string_view name(Counter c) {
     case Counter::kMrapiArenaAllocateFailed:
       return "mrapi.arena_allocate_failed";
     case Counter::kMrapiArenaRelease: return "mrapi.arena_release";
-    case Counter::kMrapiArenaClusterLocal: return "mrapi.arena_cluster_local";
-    case Counter::kMrapiArenaClusterSpill: return "mrapi.arena_cluster_spill";
     case Counter::kPlatformTeamShape: return "platform.team_shape";
     case Counter::kObsMonitorTick: return "obs.monitor_tick";
     case Counter::kObsStallDetected: return "obs.stall_detected";
@@ -101,9 +91,6 @@ std::string_view name(Hist h) {
     case Hist::kGompReductionNs: return "gomp.reduction_ns";
     case Hist::kGompBarrierWaitCentralNs:
       return "gomp.barrier_wait.central_ns";
-    case Hist::kGompBarrierWaitTreeNs: return "gomp.barrier_wait.tree_ns";
-    case Hist::kGompBarrierWaitHierarchicalNs:
-      return "gomp.barrier_wait.hierarchical_ns";
     case Hist::kGompPoolDispatchNs: return "gomp.pool_dispatch_ns";
     case Hist::kGompDoorbellWakeNs: return "gomp.doorbell_wake_ns";
     case Hist::kGompLeaseWaitNs: return "gomp.lease_wait_ns";

@@ -46,18 +46,9 @@ enum class Counter : unsigned {
   kGompReduction,
   kGompTaskSpawned,
   kGompTaskloop,
-  // Work-stealing task deques (cluster-first victim order).
+  // Work-stealing task deques.
   kGompTaskStolen,
-  kGompTaskStolenLocal,   // victim in the thief's cluster
-  kGompTaskStolenRemote,  // steal crossed a cluster boundary (CoreNet hop)
   kGompPoolDispatch,
-  // Barrier arrival locality (hierarchical barrier witness): an arrival
-  // that stayed inside the arriving thread's cluster vs one that crossed
-  // the CoreNet fabric.  A flat barrier on a 3-cluster 24-thread team pays
-  // 16 cross-cluster arrivals per barrier; the hierarchical barrier pays
-  // one per occupied cluster.
-  kGompBarrierLocal,
-  kGompBarrierXCluster,
   // Teams that ran narrower than requested because worker launch failed
   // (graceful degradation instead of a deadlocked barrier).
   kGompTeamDegraded,
@@ -67,16 +58,9 @@ enum class Counter : unsigned {
   // Leases that came back narrower than requested because concurrent
   // masters held the workers past the bounded lease wait.
   kGompLeaseDegraded,
-  // Nested teams pinned whole into one cluster (bubble placement); a spill
-  // means the master's own cluster was full and another cluster hosted the
-  // bubble instead.
-  kGompTeamBubble,
-  kGompTeamBubbleSpill,
   // Work-stealing loop scheduler (dynamic/guided distributed ranges).
   kGompLoopStealAttempt,
   kGompLoopSteal,
-  kGompLoopStealLocal,   // victim in the thief's cluster
-  kGompLoopStealRemote,  // steal crossed a cluster boundary (CoreNet hop)
   // mrapi — the MCA service layer.
   kMrapiMutexAcquire,
   kMrapiMutexContended,
@@ -85,10 +69,6 @@ enum class Counter : unsigned {
   kMrapiArenaAllocate,
   kMrapiArenaAllocateFailed,
   kMrapiArenaRelease,
-  // Partitioned-arena placement: a hinted allocation served from its own
-  // cluster's sub-pool vs spilled into another cluster's pool.
-  kMrapiArenaClusterLocal,
-  kMrapiArenaClusterSpill,
   // platform — placement machinery.
   kPlatformTeamShape,
   // obs — the live monitor's own meters (src/obs/monitor.cpp).
@@ -105,8 +85,6 @@ enum class Hist : unsigned {
   kGompCriticalNs,
   kGompReductionNs,
   kGompBarrierWaitCentralNs,
-  kGompBarrierWaitTreeNs,
-  kGompBarrierWaitHierarchicalNs,
   kGompPoolDispatchNs,
   kGompDoorbellWakeNs,  // doorbell ring -> worker starts the region body
   kGompLeaseWaitNs,     // time a master waited for contended worker leases

@@ -27,7 +27,6 @@ std::string_view name(Type t) {
     case Type::kWorkerWork: return "worker_work";
     case Type::kJoinWait: return "join_wait";
     case Type::kBarrier: return "barrier";
-    case Type::kBarrierTier: return "barrier_tier";
     case Type::kFor: return "for";
     case Type::kSingle: return "single";
     case Type::kCritical: return "critical";
@@ -318,15 +317,6 @@ std::string_view category_of(Type t) {
   }
 }
 
-std::string_view barrier_kind_name(std::uint64_t k) {
-  switch (k) {
-    case 0: return "central";
-    case 1: return "tree";
-    case 2: return "hierarchical";
-    default: return "?";
-  }
-}
-
 /// Renders the two payload words with type-appropriate key names.
 void append_args(std::string& s, const Event& e) {
   auto kv = [&s](const char* key, std::uint64_t v, bool first = false) {
@@ -352,14 +342,7 @@ void append_args(std::string& s, const Event& e) {
       kv("epoch", e.a0, true);
       break;
     case Type::kBarrier:
-      s += "\"kind\":\"";
-      s += barrier_kind_name(e.a0);
-      s += "\"";
-      kv("width", e.a1);
-      break;
-    case Type::kBarrierTier:
-      kv("tier", e.a0, true);
-      kv("cluster", e.a1);
+      kv("width", e.a0, true);
       break;
     case Type::kLoopChunk:
       kv("lo", e.a0, true);
@@ -370,7 +353,6 @@ void append_args(std::string& s, const Event& e) {
       break;
     case Type::kSteal:
       kv("victim", e.a0, true);
-      kv("local", e.a1);
       break;
     case Type::kTaskSpawn:
       kv("tid", e.a0, true);
@@ -381,7 +363,6 @@ void append_args(std::string& s, const Event& e) {
       break;
     case Type::kTaskSteal:
       kv("victim", e.a0, true);
-      kv("local", e.a1);
       break;
     case Type::kMutexAcquire:
       kv("contended", e.a0, true);
@@ -551,10 +532,6 @@ void dump_flight_record(const char* reason) {
           append_u64(s, e.a0);
           s += " key=";
           append_u64(s, e.a1);
-          break;
-        case Type::kBarrier:
-          s += " kind=";
-          s += barrier_kind_name(e.a0);
           break;
         default:
           s += " a0=";

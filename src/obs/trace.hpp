@@ -48,21 +48,18 @@ enum class Type : std::uint32_t {
   kWorkerWake,     // instant: worker observed the ticket; a0=epoch
   kWorkerWork,     // worker runs the region body; a0=epoch
   kJoinWait,       // master waits for the join counter; a0=epoch
-  kBarrier,        // a0=barrier kind (BarrierKind), a1=team width
-  kBarrierTier,    // hierarchical barrier wait (full mode only): a0=tier
-                   // (0=intra-cluster wait, 1=cluster leader crossing the
-                   // CoreNet top tier), a1=cluster id
+  kBarrier,        // a0=team width
   // gomp worksharing.
   kFor,            // a0=schedule kind
   kSingle,
   kCritical,       // spans acquire + body
   kLoopChunk,      // instant (full mode only): chunk acquired; a0=lo a1=hi
   kStealAttempt,   // instant (full mode only): a0=victim tid
-  kSteal,          // instant (full mode only): steal; a0=victim a1=local(0/1)
+  kSteal,          // instant (full mode only): steal; a0=victim
   // gomp explicit tasks (full mode only: spawn/run rates track loop chunks).
   kTaskSpawn,      // instant: a0=spawner tid a1=deque depth (1 for depend)
   kTaskRun,        // task body execution; a0=stolen(0/1)
-  kTaskSteal,      // instant: deque steal; a0=victim a1=local(0/1)
+  kTaskSteal,      // instant: deque steal; a0=victim
   // mrapi.
   kMutexAcquire,   // a0=contended(0/1)
   kNodeCreate,     // a0=node id

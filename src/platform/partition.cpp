@@ -53,41 +53,4 @@ HypervisorConfig HypervisorConfig::whole_board(const Topology* topo,
   return cfg;
 }
 
-// --- ClusterOccupancy --------------------------------------------------------
-
-ClusterOccupancy::ClusterOccupancy(unsigned num_clusters,
-                                   unsigned capacity_per_cluster)
-    : capacity_(capacity_per_cluster),
-      load_(num_clusters > 0 ? num_clusters : 1, 0) {}
-
-std::optional<unsigned> ClusterOccupancy::reserve_bubble(unsigned width,
-                                                         unsigned preferred) {
-  if (width == 0 || width > capacity_) return std::nullopt;
-  MutexLock lk(mu_);
-  if (preferred < load_.size() && load_[preferred] + width <= capacity_) {
-    load_[preferred] += width;
-    return preferred;
-  }
-  // Spill: least-loaded cluster that still fits, lowest id on ties.
-  unsigned best = static_cast<unsigned>(load_.size());
-  for (unsigned c = 0; c < load_.size(); ++c) {
-    if (load_[c] + width > capacity_) continue;
-    if (best == load_.size() || load_[c] < load_[best]) best = c;
-  }
-  if (best == load_.size()) return std::nullopt;
-  load_[best] += width;
-  return best;
-}
-
-void ClusterOccupancy::release(unsigned cluster, unsigned width) {
-  MutexLock lk(mu_);
-  if (cluster >= load_.size()) return;
-  load_[cluster] -= std::min(load_[cluster], width);
-}
-
-unsigned ClusterOccupancy::load(unsigned cluster) const {
-  MutexLock lk(mu_);
-  return cluster < load_.size() ? load_[cluster] : 0;
-}
-
 }  // namespace ompmca::platform

@@ -8,13 +8,9 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/annotations.hpp"
-#include "common/locks.hpp"
 #include "common/expected.hpp"
 #include "platform/topology.hpp"
 
@@ -61,37 +57,6 @@ class HypervisorConfig {
  private:
   const Topology* topo_;
   std::vector<Partition> partitions_;
-};
-
-/// Per-cluster software-thread load accounting, the substrate of nested-team
-/// "bubble" placement: a nested region that fits inside one cluster is
-/// pinned there as a bubble (its threads share that cluster's L2 and its
-/// barrier never crosses CoreNet) instead of being scattered board-wide.
-/// reserve_bubble prefers the requesting master's own cluster and spills to
-/// the least-loaded other cluster when it is full; when no cluster can hold
-/// the whole team the caller keeps its flat (scatter/compact) placement.
-/// Thread-safe: concurrent nested regions reserve and release freely.
-class ClusterOccupancy {
- public:
-  /// @p capacity_per_cluster is the HW-thread count of one cluster (the
-  /// point past which a bubble would oversubscribe its L2 domain).
-  ClusterOccupancy(unsigned num_clusters, unsigned capacity_per_cluster);
-
-  /// Reserves room for a @p width-thread bubble, preferring @p preferred.
-  /// Returns the chosen cluster, or nullopt when no single cluster has
-  /// room (release() must be called with the returned cluster and the same
-  /// width when the team retires).
-  std::optional<unsigned> reserve_bubble(unsigned width, unsigned preferred);
-  void release(unsigned cluster, unsigned width);
-
-  /// Current reserved load of @p cluster (tests/diagnostics).
-  unsigned load(unsigned cluster) const;
-  unsigned capacity_per_cluster() const { return capacity_; }
-
- private:
-  mutable CapMutex mu_;
-  unsigned capacity_;
-  std::vector<unsigned> load_ OMPMCA_GUARDED_BY(mu_);
 };
 
 }  // namespace ompmca::platform

@@ -4,15 +4,29 @@
 
 #include <atomic>
 #include <chrono>
-#include <new>
+#include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
 namespace ompmca::gomp {
+
+/// Reads CentralBarrier's private layout (befriended by the class).
+struct CentralBarrierLayout {
+  static std::uintptr_t counter(const CentralBarrier& b) {
+    return reinterpret_cast<std::uintptr_t>(&b.count_);
+  }
+  static std::uintptr_t sense(const CentralBarrier& b) {
+    return reinterpret_cast<std::uintptr_t>(&b.sense_);
+  }
+  static std::uintptr_t parker(const CentralBarrier& b) {
+    return reinterpret_cast<std::uintptr_t>(&b.parker_);
+  }
+};
+
 namespace {
 
 struct BarrierCase {
-  BarrierKind kind;
   WaitPolicy policy;
   unsigned nthreads;
 };
@@ -23,36 +37,29 @@ class BarrierParamTest : public ::testing::TestWithParam<BarrierCase> {};
 // before every thread finished phase k.
 TEST_P(BarrierParamTest, SeparatesPhases) {
   const BarrierCase c = GetParam();
-  // T4240-shaped scatter map: threads round-robin over three clusters.  The
-  // flat kinds ignore it; the hierarchical kind derives its two tiers from
-  // it (and collapses to a tree when the map spans a single cluster).
-  std::vector<unsigned> cluster_of_thread(c.nthreads);
-  for (unsigned i = 0; i < c.nthreads; ++i) cluster_of_thread[i] = i % 3;
-  auto barrier =
-      make_barrier(c.kind, c.nthreads, c.policy, cluster_of_thread.data());
-  ASSERT_NE(barrier, nullptr);
-  EXPECT_EQ(barrier->size(), c.nthreads);
+  CentralBarrier barrier(c.nthreads, c.policy);
+  EXPECT_EQ(barrier.size(), c.nthreads);
 
   constexpr int kPhases = 25;
   std::atomic<int> arrivals{0};
   std::atomic<bool> violation{false};
 
-  auto worker = [&](unsigned tid) {
+  auto worker = [&] {
     for (int phase = 0; phase < kPhases; ++phase) {
       arrivals.fetch_add(1, std::memory_order_acq_rel);
-      barrier->arrive_and_wait(tid);
+      barrier.arrive_and_wait();
       // After the barrier every thread of this phase must have arrived.
       if (arrivals.load(std::memory_order_acquire) <
           (phase + 1) * static_cast<int>(c.nthreads)) {
         violation.store(true);
       }
-      barrier->arrive_and_wait(tid);  // separate the read from next phase
+      barrier.arrive_and_wait();  // separate the read from next phase
     }
   };
 
   std::vector<std::thread> threads;
-  for (unsigned t = 1; t < c.nthreads; ++t) threads.emplace_back(worker, t);
-  worker(0);
+  for (unsigned t = 1; t < c.nthreads; ++t) threads.emplace_back(worker);
+  worker();
   for (auto& t : threads) t.join();
 
   EXPECT_FALSE(violation.load());
@@ -63,10 +70,7 @@ TEST_P(BarrierParamTest, SeparatesPhases) {
 // are parked: its arrival must wake every one of them, in every phase.
 TEST_P(BarrierParamTest, LateArriverReleasesParkedWaiters) {
   const BarrierCase c = GetParam();
-  std::vector<unsigned> cluster_of_thread(c.nthreads);
-  for (unsigned i = 0; i < c.nthreads; ++i) cluster_of_thread[i] = i % 3;
-  auto barrier =
-      make_barrier(c.kind, c.nthreads, c.policy, cluster_of_thread.data());
+  CentralBarrier barrier(c.nthreads, c.policy);
   const auto late = std::chrono::microseconds(
       spin_window_ns(c.policy, c.nthreads) / 1000 + 2000);
 
@@ -81,12 +85,12 @@ TEST_P(BarrierParamTest, LateArriverReleasesParkedWaiters) {
         std::this_thread::sleep_for(late);
       }
       arrivals.fetch_add(1, std::memory_order_acq_rel);
-      barrier->arrive_and_wait(tid);
+      barrier.arrive_and_wait();
       if (arrivals.load(std::memory_order_acquire) <
           (phase + 1) * static_cast<int>(c.nthreads)) {
         violation.store(true);
       }
-      barrier->arrive_and_wait(tid);
+      barrier.arrive_and_wait();
     }
   };
   std::vector<std::thread> threads;
@@ -105,161 +109,46 @@ const char* policy_name(WaitPolicy p) {
   return "?";
 }
 
+// Widths 1-9 under each wait-policy state: on a host with fewer than nine
+// online CPUs the wider teams get no spin window, so their waiters park.
 std::vector<BarrierCase> all_cases() {
   std::vector<BarrierCase> cases;
-  for (BarrierKind kind :
-       {BarrierKind::kCentral, BarrierKind::kTree, BarrierKind::kHierarchical}) {
-    for (WaitPolicy policy :
-         {WaitPolicy::kPassive, WaitPolicy::kActive, WaitPolicy::kDefault}) {
-      for (unsigned n : {1u, 2u, 3u, 4u, 7u, 8u, 13u, 24u}) {
-        cases.push_back({kind, policy, n});
-      }
-    }
+  for (WaitPolicy policy :
+       {WaitPolicy::kPassive, WaitPolicy::kActive, WaitPolicy::kDefault}) {
+    for (unsigned n = 1; n <= 9; ++n) cases.push_back({policy, n});
   }
   return cases;
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllAlgorithms, BarrierParamTest, ::testing::ValuesIn(all_cases()),
+    Central, BarrierParamTest, ::testing::ValuesIn(all_cases()),
     [](const ::testing::TestParamInfo<BarrierCase>& param_info) {
       const auto& c = param_info.param;
-      return std::string(to_string(c.kind)) + "_" + policy_name(c.policy) +
-             "_" + std::to_string(c.nthreads);
+      return std::string(policy_name(c.policy)) + "_" +
+             std::to_string(c.nthreads);
     });
 
 TEST(Barrier, SingleThreadIsNoOp) {
-  for (BarrierKind kind :
-       {BarrierKind::kCentral, BarrierKind::kTree, BarrierKind::kHierarchical}) {
-    auto b = make_barrier(kind, 1, WaitPolicy::kPassive);
-    for (int i = 0; i < 100; ++i) b->arrive_and_wait(0);  // must not hang
-  }
+  CentralBarrier b(1, WaitPolicy::kPassive);
+  for (int i = 0; i < 100; ++i) b.arrive_and_wait();  // must not hang
 }
 
 TEST(Barrier, KindNames) {
   EXPECT_EQ(to_string(BarrierKind::kCentral), "central");
-  EXPECT_EQ(to_string(BarrierKind::kTree), "tree");
-  EXPECT_EQ(to_string(BarrierKind::kHierarchical), "hierarchical");
   EXPECT_EQ(to_string(BarrierKind::kAuto), "auto");
 }
 
-TEST(Barrier, ParseKindRoundTrips) {
-  BarrierKind k;
-  ASSERT_TRUE(parse_barrier_kind("central", &k));
-  EXPECT_EQ(k, BarrierKind::kCentral);
-  ASSERT_TRUE(parse_barrier_kind("tree", &k));
-  EXPECT_EQ(k, BarrierKind::kTree);
-  ASSERT_TRUE(parse_barrier_kind("hier", &k));
-  EXPECT_EQ(k, BarrierKind::kHierarchical);
-  ASSERT_TRUE(parse_barrier_kind("hierarchical", &k));
-  EXPECT_EQ(k, BarrierKind::kHierarchical);
-  ASSERT_TRUE(parse_barrier_kind("auto", &k));
-  EXPECT_EQ(k, BarrierKind::kAuto);
-  EXPECT_FALSE(parse_barrier_kind("dissemination", &k));
-  EXPECT_FALSE(parse_barrier_kind("bogus", &k));
-  EXPECT_FALSE(parse_barrier_kind("", &k));
-}
-
-TEST(TreeBarrier, ArityMatchesClusterWidth) {
-  EXPECT_EQ(TreeBarrier::kArity, 4u);
-}
-
-// kAuto is a request-only value: it resolves to hierarchical exactly when
-// the team spans more than one cluster, and never survives resolution.
-TEST(Barrier, AutoResolvesByClusterSpan) {
-  EXPECT_EQ(effective_barrier_kind(BarrierKind::kAuto, WaitPolicy::kPassive, 3),
-            BarrierKind::kHierarchical);
-  EXPECT_EQ(effective_barrier_kind(BarrierKind::kAuto, WaitPolicy::kActive, 2),
-            BarrierKind::kHierarchical);
-  EXPECT_EQ(effective_barrier_kind(BarrierKind::kAuto, WaitPolicy::kPassive, 1),
-            BarrierKind::kCentral);
-  // The 2-arg convenience overload assumes a single cluster.
-  EXPECT_EQ(effective_barrier_kind(BarrierKind::kAuto, WaitPolicy::kActive),
-            BarrierKind::kCentral);
-}
-
-// A hierarchical request on a single-cluster team (e.g. Topology::generic()
-// places everything in cluster 0) must collapse to the flat tree: two tiers
-// with a top width of one would be pure overhead.
-TEST(Barrier, HierarchicalCollapsesToTreeOnSingleCluster) {
-  EXPECT_EQ(effective_barrier_kind(BarrierKind::kHierarchical,
-                                   WaitPolicy::kPassive, 1),
-            BarrierKind::kTree);
-  EXPECT_EQ(effective_barrier_kind(BarrierKind::kHierarchical,
-                                   WaitPolicy::kActive, 2),
-            BarrierKind::kHierarchical);
-
-  const std::vector<unsigned> one_cluster(8, 5u);  // all on hw cluster 5
-  auto collapsed = make_barrier(BarrierKind::kHierarchical, 8,
-                                WaitPolicy::kPassive, one_cluster.data());
-  EXPECT_NE(dynamic_cast<TreeBarrier*>(collapsed.get()), nullptr);
-
-  // nullptr map means "single cluster" by contract.
-  auto no_map =
-      make_barrier(BarrierKind::kHierarchical, 8, WaitPolicy::kPassive);
-  EXPECT_NE(dynamic_cast<TreeBarrier*>(no_map.get()), nullptr);
-
-  const std::vector<unsigned> two_clusters{0, 1, 0, 1};
-  auto real = make_barrier(BarrierKind::kHierarchical, 4, WaitPolicy::kPassive,
-                           two_clusters.data());
-  EXPECT_NE(dynamic_cast<HierarchicalBarrier*>(real.get()), nullptr);
-}
-
-TEST(HierarchicalBarrier, GroupCountMatchesOccupiedClusters) {
-  // 24-thread T4240 scatter placement: 3 clusters, 8 threads each.
-  std::vector<unsigned> map(24);
-  for (unsigned i = 0; i < 24; ++i) map[i] = i % 3;
-  HierarchicalBarrier b(24, WaitPolicy::kPassive, map.data());
-  EXPECT_EQ(b.size(), 24u);
-  EXPECT_EQ(b.num_cluster_groups(), 3u);
-
-  // Uneven occupancy: clusters {7, 2} — top tier width 2, not max-id+1.
-  const std::vector<unsigned> sparse{7, 2, 7, 7};
-  HierarchicalBarrier s(4, WaitPolicy::kActive, sparse.data());
-  EXPECT_EQ(s.num_cluster_groups(), 2u);
-}
-
-// A counting ClusterMemory: hands out heap blocks but records which cluster
-// each acquire/release was attributed to.
-class RecordingClusterMemory final : public ClusterMemory {
- public:
-  void* acquire(unsigned cluster, std::size_t bytes) override {
-    acquires.push_back(cluster);
-    return ::operator new(bytes, std::align_val_t{kCacheLineBytes});
-  }
-  void release(unsigned cluster, void* p) override {
-    releases.push_back(cluster);
-    ::operator delete(p, std::align_val_t{kCacheLineBytes});
-  }
-  std::vector<unsigned> acquires;
-  std::vector<unsigned> releases;
-};
-
-TEST(HierarchicalBarrier, HomesTierStatePerCluster) {
-  RecordingClusterMemory mem;
-  const std::vector<unsigned> map{0, 1, 2, 0, 1, 2};
-  {
-    HierarchicalBarrier b(6, WaitPolicy::kPassive, map.data(), &mem);
-    // One tier allocation per occupied cluster, attributed to that cluster.
-    ASSERT_EQ(mem.acquires.size(), 3u);
-    EXPECT_EQ(mem.acquires, (std::vector<unsigned>{0, 1, 2}));
-    EXPECT_TRUE(mem.releases.empty());
-
-    // The barrier still works with externally homed state.
-    std::vector<std::thread> threads;
-    std::atomic<int> after{0};
-    for (unsigned t = 1; t < 6; ++t) {
-      threads.emplace_back([&, t] {
-        b.arrive_and_wait(t);
-        after.fetch_add(1);
-      });
-    }
-    b.arrive_and_wait(0);
-    after.fetch_add(1);
-    for (auto& th : threads) th.join();
-    EXPECT_EQ(after.load(), 6);
-  }
-  // Destruction releases every acquired block back to its cluster.
-  EXPECT_EQ(mem.releases, mem.acquires);
+// Arrivals bounce the counter's line while waiters poll the sense word:
+// sharing one line would make every arrival invalidate every spinner.
+TEST(Barrier, CounterSenseAndParkerOnSeparateCacheLines) {
+  CentralBarrier b(4, WaitPolicy::kDefault);
+  const std::uintptr_t counter = CentralBarrierLayout::counter(b);
+  const std::uintptr_t sense = CentralBarrierLayout::sense(b);
+  const std::uintptr_t parker = CentralBarrierLayout::parker(b);
+  EXPECT_GE(sense - counter, kCacheLineBytes);
+  EXPECT_GE(parker - sense, kCacheLineBytes);
+  EXPECT_EQ(counter % kCacheLineBytes, 0u);
+  EXPECT_EQ(sense % kCacheLineBytes, 0u);
 }
 
 }  // namespace

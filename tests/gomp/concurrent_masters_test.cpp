@@ -11,10 +11,12 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <thread>
 #include <vector>
 
+#include "gomp/backend_native.hpp"
 #include "gomp/gomp.hpp"
 #include "obs/telemetry.hpp"
 
@@ -318,6 +320,78 @@ TEST(ConcurrentMasters, SlotExhaustionSerializesTheOverflowTenant) {
   EXPECT_EQ(serialized, 1u);
   obs::Snapshot s = obs::Registry::instance().snapshot();
   EXPECT_GE(s.counter(obs::Counter::kGompLeaseDegraded), 1u);
+}
+
+/// The pool index of the calling worker thread (-1 off the pool).
+thread_local int t_worker_index = -1;
+
+/// Native backend that tags each worker thread with its pool index, so a
+/// region body can report which workers its lease held.
+class IndexTaggingBackend final : public SystemBackend {
+ public:
+  IndexTaggingBackend() : inner_(platform::Topology::t4240rdb()) {}
+
+  std::string_view name() const override { return "index-tagging"; }
+  Status launch_thread(unsigned index, std::function<void()> fn) override {
+    return inner_.launch_thread(index, [index, fn = std::move(fn)] {
+      t_worker_index = static_cast<int>(index);
+      fn();
+    });
+  }
+  Status join_thread(unsigned index) override {
+    return inner_.join_thread(index);
+  }
+  void* allocate(std::size_t bytes) override { return inner_.allocate(bytes); }
+  void deallocate(void* p) override { inner_.deallocate(p); }
+  std::unique_ptr<BackendMutex> create_mutex() override {
+    return inner_.create_mutex();
+  }
+  unsigned num_procs() override { return inner_.num_procs(); }
+
+ private:
+  NativeBackend inner_;
+};
+
+/// Forks @p d (already prepared to @p width) and returns the bitmap of pool
+/// workers that ran it.
+std::uint64_t run_dispatch(ThreadPool& pool, ThreadPool::Dispatch& d,
+                           unsigned width) {
+  std::atomic<std::uint64_t> workers{0};
+  auto body = [&](unsigned tid) {
+    if (tid != 0) {
+      workers.fetch_or(std::uint64_t{1} << t_worker_index);
+    }
+  };
+  pool.start_team(d, width, body);
+  body(0);
+  pool.wait_team(d);
+  return workers.load();
+}
+
+// The lease policy takes the lowest free workers, and two masters holding
+// leases at once never share a worker.
+TEST(ConcurrentMasters, LeasesAreLowestFreeWorkersAndDisjoint) {
+  IndexTaggingBackend backend;
+  ThreadPool pool(backend, WaitPolicy::kPassive, /*max_workers=*/8);
+
+  ThreadPool::Dispatch first;
+  ThreadPool::Dispatch second;
+  ASSERT_EQ(pool.prepare(first, 4, /*level=*/1), 4u);
+  ASSERT_EQ(pool.prepare(second, 3, /*level=*/1), 3u);
+  const std::uint64_t first_workers = run_dispatch(pool, first, 4);
+
+  // With workers 3 and 4 still leased to the second master, the next lease
+  // is the lowest free pair again.
+  ThreadPool::Dispatch third;
+  ASSERT_EQ(pool.prepare(third, 3, /*level=*/1), 3u);
+  const std::uint64_t third_workers = run_dispatch(pool, third, 3);
+  const std::uint64_t second_workers = run_dispatch(pool, second, 3);
+
+  EXPECT_EQ(first_workers, 0b00111u);
+  EXPECT_EQ(second_workers, 0b11000u);
+  EXPECT_EQ(third_workers, 0b00011u);
+  EXPECT_EQ(first_workers & second_workers, 0u);
+  EXPECT_EQ(third_workers & second_workers, 0u);
 }
 
 }  // namespace

@@ -74,6 +74,7 @@ TEST(McaIntegration, NodePerRegionLifecycleRegistersAndRetires) {
 
 TEST(McaIntegration, NestedRegionsReusePoolWorkerNodes) {
   Runtime rt = make_mca_runtime(2, /*nested=*/true);
+  const std::size_t nodes_before = domain_node_count();  // master node
   auto nested_region = [&rt] {
     std::atomic<int> ran{0};
     rt.parallel([&](ParallelContext&) {
@@ -81,16 +82,15 @@ TEST(McaIntegration, NestedRegionsReusePoolWorkerNodes) {
     });
     EXPECT_EQ(ran.load(), 4);
   };
-  nested_region();
-  // One outer worker plus one per nested team, all parked pool nodes.
-  const unsigned launched = rt.pool().workers_launched();
-  const std::size_t nodes = domain_node_count();
-  EXPECT_EQ(launched, 3u);
-  for (int r = 1; r < 100; ++r) nested_region();
+  for (int r = 0; r < 100; ++r) nested_region();
   // Nested teams lease the same parked workers: no node is created per
-  // nested region.
-  EXPECT_EQ(rt.pool().workers_launched(), launched);
-  EXPECT_EQ(domain_node_count(), nodes);
+  // nested region.  At most one outer worker plus one per nested team is
+  // ever leased at once (two nested teams that do not overlap in time take
+  // the same lowest free worker), and each launched worker is one node.
+  const unsigned launched = rt.pool().workers_launched();
+  EXPECT_GE(launched, 1u);
+  EXPECT_LE(launched, 3u);
+  EXPECT_EQ(domain_node_count(), nodes_before + launched);
 }
 
 TEST(McaIntegration, RuntimeAllocationsAreInvisibleAfterTeardown) {

@@ -408,47 +408,30 @@ TEST_P(RuntimeBackendTest, SetNestedAtRunTimeActivatesInnerRegions) {
   EXPECT_EQ(widths[1].load(), 2u);
 }
 
-TEST_P(RuntimeBackendTest, AllBarrierAlgorithmsWorkEndToEnd) {
-  for (BarrierKind kind :
-       {BarrierKind::kCentral, BarrierKind::kTree, BarrierKind::kHierarchical,
-        BarrierKind::kAuto}) {
-    auto opts = options_for(GetParam(), 6);
-    opts.barrier = kind;
-    Runtime rt(opts);
-    std::atomic<long> total{0};
-    rt.parallel([&](ParallelContext& ctx) {
-      for (int phase = 0; phase < 10; ++phase) {
-        total.fetch_add(1);
-        ctx.barrier();
-      }
-    });
-    EXPECT_EQ(total.load(), 60);
-  }
-}
-
-TEST_P(RuntimeBackendTest, AutoBarrierResolvesToHierarchicalAcrossClusters) {
-  // Default scatter placement spreads even a small team over all three
-  // clusters, so the kAuto default must land on the hierarchical barrier.
-  auto opts = options_for(GetParam(), 6);
-  ASSERT_EQ(opts.barrier, BarrierKind::kAuto);
-  Runtime rt(opts);
+TEST_P(RuntimeBackendTest, TeamRunsTheCentralBarrier) {
+  Runtime rt(options_for(GetParam(), 6));
+  std::atomic<long> total{0};
   rt.parallel([&](ParallelContext& ctx) {
-    if (ctx.thread_num() == 0) {
-      EXPECT_EQ(ctx.team().barrier_kind(), BarrierKind::kHierarchical);
+    EXPECT_EQ(ctx.team().barrier_kind(), BarrierKind::kCentral);
+    for (int phase = 0; phase < 10; ++phase) {
+      total.fetch_add(1);
+      ctx.barrier();
+      // Every thread's increment of this phase is visible past the barrier.
+      EXPECT_GE(total.load(), 6 * (phase + 1));
+      ctx.barrier();
     }
-    ctx.barrier();
   });
+  EXPECT_EQ(total.load(), 60);
 }
 
 TEST_P(RuntimeBackendTest, WidthOneTeamTakesFastPath) {
   auto rt = make_runtime(4);
-  // A width-1 region constructs no barrier at all and never touches the
-  // worker pool; barriers and loops inside it must still be no-ops.
+  // A width-1 region never touches the worker pool or its barrier;
+  // barriers and loops inside it must still be no-ops.
   int runs = 0;
   rt->parallel(
       [&](ParallelContext& ctx) {
         EXPECT_EQ(ctx.num_threads(), 1u);
-        EXPECT_EQ(ctx.team().team_barrier(), nullptr);
         ctx.barrier();  // must not hang
         long sum = 0;
         ctx.for_loop(0, 100, [&](long lo, long hi) { sum += hi - lo; });
@@ -464,7 +447,7 @@ TEST_P(RuntimeBackendTest, WidthOneTeamTakesFastPath) {
   rt->parallel([&](ParallelContext& outer_ctx) {
     outer_ctx.runtime().parallel(
         [&](ParallelContext& inner) {
-          EXPECT_EQ(inner.team().team_barrier(), nullptr);
+          EXPECT_EQ(inner.num_threads(), 1u);
           inner.barrier();
           inner_runs.fetch_add(1);
         },
@@ -473,57 +456,40 @@ TEST_P(RuntimeBackendTest, WidthOneTeamTakesFastPath) {
   EXPECT_EQ(inner_runs.load(), 4);
 }
 
-TEST_P(RuntimeBackendTest, NestedTeamGetsBubblePlacement) {
-  // A nested team narrow enough to fit one cluster is pinned inside a
-  // single cluster (preferably the master's) instead of scattering.
-  auto opts = options_for(GetParam(), 3);
+TEST_P(RuntimeBackendTest, NestedFourByTwoCoversEveryIterationOnce) {
+  // Four outer threads each fork a 2-wide team whose loops share out one
+  // slice of the iteration space: every iteration runs exactly once.
+  auto opts = options_for(GetParam(), 4);
   opts.icvs->nested = true;
   opts.icvs->max_active_levels = 2;
   Runtime rt(opts);
-  ASSERT_TRUE(rt.nested_bubble());
-  std::atomic<int> bubbled{0}, inner_total{0};
-  rt.parallel([&](ParallelContext& ctx) {
-    ctx.runtime().parallel(
+  constexpr long kPerOuter = 1000;
+  std::vector<std::atomic<int>> hits(4 * kPerOuter);
+  for (auto& h : hits) h.store(0);
+  std::atomic<int> inner_total{0};
+  rt.parallel([&](ParallelContext& outer) {
+    const long base = static_cast<long>(outer.thread_num()) * kPerOuter;
+    outer.runtime().parallel(
         [&](ParallelContext& inner) {
+          EXPECT_EQ(inner.num_threads(), 2u);
+          EXPECT_EQ(inner.level(), 2u);
           inner_total.fetch_add(1);
-          Team& team = inner.team();
-          if (inner.thread_num() == 0 && team.bubble_cluster().has_value()) {
-            bubbled.fetch_add(1);
-            const unsigned home = *team.bubble_cluster();
-            for (unsigned t = 0; t < inner.num_threads(); ++t) {
-              EXPECT_EQ(team.cluster_of_thread(t), home);
-            }
-            // Single-cluster team: the hierarchical request collapses, so
-            // the effective kind is never kHierarchical here.
-            EXPECT_NE(team.barrier_kind(), BarrierKind::kHierarchical);
-          }
-          inner.barrier();
+          inner.for_loop(base, base + kPerOuter / 2, [&](long lo, long hi) {
+            for (long i = lo; i < hi; ++i) hits[i].fetch_add(1);
+          });
+          inner.for_loop(
+              base + kPerOuter / 2, base + kPerOuter,
+              [&](long lo, long hi) {
+                for (long i = lo; i < hi; ++i) hits[i].fetch_add(1);
+              },
+              ScheduleSpec{Schedule::kDynamic, 7});
         },
         2);
   });
-  EXPECT_EQ(inner_total.load(), 3 * 2);
-  // Three clusters of capacity 8 can hold three 2-wide bubbles: every
-  // nested team must have been placed.
-  EXPECT_EQ(bubbled.load(), 3);
-}
-
-TEST_P(RuntimeBackendTest, NestedPlacementFlatKnobDisablesBubbles) {
-  auto opts = options_for(GetParam(), 3);
-  opts.icvs->nested = true;
-  opts.icvs->max_active_levels = 2;
-  opts.nested_bubble = false;
-  Runtime rt(opts);
-  EXPECT_FALSE(rt.nested_bubble());
-  std::atomic<int> bubbled{0};
-  rt.parallel([&](ParallelContext& ctx) {
-    ctx.runtime().parallel(
-        [&](ParallelContext& inner) {
-          if (inner.team().bubble_cluster().has_value()) bubbled.fetch_add(1);
-          inner.barrier();
-        },
-        2);
-  });
-  EXPECT_EQ(bubbled.load(), 0);
+  EXPECT_EQ(inner_total.load(), 4 * 2);
+  for (long i = 0; i < 4 * kPerOuter; ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "iteration " << i;
+  }
 }
 
 TEST_P(RuntimeBackendTest, ThreadNumsAreDistinct) {

@@ -57,7 +57,7 @@ bool spin_until(Pred pred) {
 // completes promptly.
 TEST(TaskRegression, SpawnWakesParkedTaskwaitWaiter) {
   TaskSystem ts;
-  ts.configure(2, nullptr);
+  ts.configure(2);
   std::atomic<bool> child_started{false};
   std::atomic<bool> grandchild_ran{false};
   std::atomic<bool> chain_completed{false};
@@ -106,7 +106,7 @@ TEST(TaskRegression, SpawnWakesParkedTaskwaitWaiter) {
 // arrives, and only the waiter is free to run it.
 TEST(TaskRegression, SpawnWakesParkedGroupWaitWaiter) {
   TaskSystem ts;
-  ts.configure(2, nullptr);
+  ts.configure(2);
   TaskGroup group;
   std::atomic<bool> child_started{false};
   std::atomic<bool> grandchild_ran{false};

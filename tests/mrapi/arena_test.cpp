@@ -142,95 +142,6 @@ TEST(Arena, DistinctAllocationsDoNotOverlap) {
   EXPECT_TRUE(pa + 1000 <= pb || pb + 1000 <= pa);
 }
 
-// --- per-cluster sub-pools -----------------------------------------------------
-
-TEST(ClusterArena, HintedAllocationStaysInItsPool) {
-  SystemShmArena arena(64 * 30, 3);
-  ASSERT_EQ(arena.num_pools(), 3u);
-  for (unsigned cluster = 0; cluster < 3; ++cluster) {
-    auto p = arena.allocate(64, cluster);
-    ASSERT_TRUE(p.has_value());
-    EXPECT_EQ(arena.pool_of(*p), cluster);
-    (void)arena.release(*p);
-  }
-}
-
-TEST(ClusterArena, HintedAllocationSpillsWhenPoolFull) {
-  // 3 pools x 640 bytes (10 cache lines each).
-  SystemShmArena arena(64 * 30, 3);
-  std::vector<void*> hogs;
-  for (int i = 0; i < 10; ++i) {
-    auto p = arena.allocate(64, 1);
-    ASSERT_TRUE(p.has_value());
-    EXPECT_EQ(arena.pool_of(*p), 1u);
-    hogs.push_back(*p);
-  }
-  // Pool 1 is exhausted: the next hinted allocation spills elsewhere
-  // rather than failing.
-  auto spill = arena.allocate(64, 1);
-  ASSERT_TRUE(spill.has_value());
-  EXPECT_NE(arena.pool_of(*spill), 1u);
-  EXPECT_LT(arena.pool_of(*spill), 3u);
-  (void)arena.release(*spill);
-  for (void* p : hogs) ASSERT_EQ(arena.release(p), Status::kSuccess);
-}
-
-TEST(ClusterArena, ExhaustionOnlyWhenEveryPoolIsFull) {
-  SystemShmArena arena(64 * 6, 3);  // 2 lines per pool
-  std::vector<void*> all;
-  for (int i = 0; i < 6; ++i) {
-    auto p = arena.allocate(64);
-    ASSERT_TRUE(p.has_value());
-    all.push_back(*p);
-  }
-  EXPECT_EQ(arena.allocate(64).status(), Status::kOutOfResources);
-  EXPECT_EQ(arena.allocate(64, 0).status(), Status::kOutOfResources);
-  for (void* p : all) ASSERT_EQ(arena.release(p), Status::kSuccess);
-  EXPECT_EQ(arena.used(), 0u);
-}
-
-TEST(ClusterArena, ReleaseFindsTheRightPool) {
-  SystemShmArena arena(64 * 30, 3);
-  auto a = arena.allocate(64, 0);
-  auto b = arena.allocate(64, 2);
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(arena.used(), 128u);
-  EXPECT_EQ(arena.release(*b), Status::kSuccess);
-  EXPECT_EQ(arena.release(*a), Status::kSuccess);
-  EXPECT_EQ(arena.used(), 0u);
-  int x;
-  EXPECT_EQ(arena.pool_of(&x), arena.num_pools());
-}
-
-TEST(ClusterArena, OutOfRangeHintBehavesLikeNoHint) {
-  SystemShmArena arena(64 * 30, 3);
-  auto p = arena.allocate(64, 7);  // no such cluster: any pool acceptable
-  ASSERT_TRUE(p.has_value());
-  EXPECT_LT(arena.pool_of(*p), 3u);
-  (void)arena.release(*p);
-  auto q = arena.allocate(64, kAnyCluster);
-  ASSERT_TRUE(q.has_value());
-  (void)arena.release(*q);
-}
-
-TEST(ClusterArena, UnhintedAllocationsBalanceAcrossPools) {
-  SystemShmArena arena(64 * 30, 3);
-  // Load pool 0 heavily, then check hint-less allocations prefer the
-  // lighter pools (least-loaded-first scan order).
-  auto hog = arena.allocate(64 * 8, 0);
-  ASSERT_TRUE(hog.has_value());
-  auto a = arena.allocate(64);
-  auto b = arena.allocate(64);
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  EXPECT_NE(arena.pool_of(*a), 0u);
-  EXPECT_NE(arena.pool_of(*b), 0u);
-  (void)arena.release(*a);
-  (void)arena.release(*b);
-  (void)arena.release(*hog);
-}
-
 TEST(Arena, ConcurrentAllocateRelease) {
   SystemShmArena arena(1 << 20);
   std::vector<std::thread> threads;

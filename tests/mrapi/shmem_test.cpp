@@ -155,6 +155,24 @@ TEST_F(ShmemTest, SystemModeExhaustionFailsWhenFallbackDisabled) {
   EXPECT_EQ(seg.status(), Status::kOutOfResources);
 }
 
+// A system segment may take any contiguous part of the arena: one larger
+// than a third of the 64 MiB default is carved from it, not refused or
+// silently re-homed on the heap.
+TEST_F(ShmemTest, LargeSystemSegmentFitsTheEmptyArena) {
+  auto d = Database::instance().find_domain(0);
+  ASSERT_TRUE(d.has_value());
+  const std::size_t used0 = (*d)->arena().used();
+  constexpr std::size_t kBytes = 30u << 20;
+  ShmemAttributes attrs;
+  attrs.allow_heap_fallback = false;
+  auto seg = node_.shmem_create(16, kBytes, attrs);
+  ASSERT_TRUE(seg.has_value()) << to_string(seg.status());
+  EXPECT_EQ((*seg)->attributes().mode, ShmemMode::kSystem);
+  EXPECT_EQ((*d)->arena().used(), used0 + kBytes);
+  ASSERT_EQ(node_.shmem_delete(16), Status::kSuccess);
+  EXPECT_EQ((*d)->arena().used(), used0);
+}
+
 TEST_F(ShmemTest, CreateMallocConvenience) {
   auto addr = node_.shmem_create_malloc(15, 512);
   ASSERT_TRUE(addr.has_value());

@@ -164,10 +164,6 @@ TEST(Telemetry, JsonReportContainsAllSections) {
 TEST(Telemetry, RuntimeDirectivesAreObserved) {
   ScopedEnable scope;
   gomp::RuntimeOptions opts;
-  // Pin the central barrier: the kAuto default resolves to hierarchical for
-  // this team (4 scatter-placed threads span 3 clusters), and this test
-  // asserts against the central wait histogram specifically.
-  opts.barrier = gomp::BarrierKind::kCentral;
   gomp::Icvs icvs;
   icvs.num_threads = 4;
   opts.icvs = icvs;
@@ -201,77 +197,6 @@ TEST(Telemetry, RuntimeDirectivesAreObserved) {
   EXPECT_EQ(s.hist(Hist::kGompPoolDispatchNs).count, 3u);
 }
 
-TEST(Telemetry, HierarchicalBarrierCrossesCoreNetOncePerCluster) {
-  ScopedEnable scope;
-  gomp::RuntimeOptions opts;
-  opts.barrier = gomp::BarrierKind::kHierarchical;
-  gomp::Icvs icvs;
-  icvs.num_threads = 6;  // scatter: 2 threads in each of the 3 clusters
-  opts.icvs = icvs;
-  gomp::Runtime rt(opts);
-
-  constexpr int kExplicitBarriers = 10;
-  rt.parallel([&](gomp::ParallelContext& ctx) {
-    for (int i = 0; i < kExplicitBarriers; ++i) ctx.barrier();
-  });
-
-  Snapshot s = Registry::instance().snapshot();
-  const std::uint64_t local = s.counter(Counter::kGompBarrierLocal);
-  const std::uint64_t xcluster = s.counter(Counter::kGompBarrierXCluster);
-  // Every barrier phase: one leader per occupied cluster crosses CoreNet
-  // (3 = O(clusters)), everyone else stays cluster-local (the other 3).
-  EXPECT_EQ((local + xcluster) % 6, 0u);
-  EXPECT_GE(xcluster, 3u * kExplicitBarriers);
-  EXPECT_EQ(local, xcluster);  // 1 leader + 1 local waiter per cluster
-  EXPECT_GE(s.hist(Hist::kGompBarrierWaitHierarchicalNs).count,
-            1u * kExplicitBarriers);
-}
-
-TEST(Telemetry, CentralBarrierCrossesCoreNetPerRemoteThread) {
-  ScopedEnable scope;
-  gomp::RuntimeOptions opts;
-  opts.barrier = gomp::BarrierKind::kCentral;
-  gomp::Icvs icvs;
-  icvs.num_threads = 6;  // same shape as the hierarchical witness above
-  opts.icvs = icvs;
-  gomp::Runtime rt(opts);
-
-  rt.parallel([&](gomp::ParallelContext& ctx) {
-    for (int i = 0; i < 10; ++i) ctx.barrier();
-  });
-
-  Snapshot s = Registry::instance().snapshot();
-  const std::uint64_t local = s.counter(Counter::kGompBarrierLocal);
-  const std::uint64_t xcluster = s.counter(Counter::kGompBarrierXCluster);
-  // Flat barrier: 4 of the 6 threads live outside the master's cluster, so
-  // cross-cluster arrivals run O(n) — double the hierarchical count for
-  // the identical team shape.
-  EXPECT_EQ(xcluster, 2u * local);
-  EXPECT_GT(xcluster, 0u);
-}
-
-TEST(Telemetry, NestedBubbleTeamsAreCounted) {
-  ScopedEnable scope;
-  gomp::RuntimeOptions opts;
-  gomp::Icvs icvs;
-  icvs.num_threads = 3;
-  icvs.nested = true;
-  icvs.max_active_levels = 2;
-  opts.icvs = icvs;
-  gomp::Runtime rt(opts);
-
-  rt.parallel([&](gomp::ParallelContext& ctx) {
-    ctx.runtime().parallel([](gomp::ParallelContext& inner) {
-      inner.barrier();
-    }, 2);
-  });
-
-  Snapshot s = Registry::instance().snapshot();
-  // All three 2-wide nested teams fit their master's own cluster.
-  EXPECT_EQ(s.counter(Counter::kGompTeamBubble), 3u);
-  EXPECT_EQ(s.counter(Counter::kGompTeamBubbleSpill), 0u);
-}
-
 TEST(Telemetry, WidthOneRegionSkipsPoolAndBarrier) {
   ScopedEnable scope;
   gomp::RuntimeOptions opts;
@@ -284,11 +209,11 @@ TEST(Telemetry, WidthOneRegionSkipsPoolAndBarrier) {
 
   Snapshot s = Registry::instance().snapshot();
   EXPECT_EQ(s.counter(Counter::kGompParallel), 1u);
-  // No pool dispatch, no barrier-wait samples, no locality traffic: the
-  // serialized region never constructs a barrier or rings a doorbell.
+  // No pool dispatch and no barrier arrival: the serialized region never
+  // touches its barrier or rings a doorbell.
   EXPECT_EQ(s.counter(Counter::kGompPoolDispatch), 0u);
-  EXPECT_EQ(s.counter(Counter::kGompBarrierLocal), 0u);
-  EXPECT_EQ(s.counter(Counter::kGompBarrierXCluster), 0u);
+  EXPECT_EQ(s.counter(Counter::kGompBarrier), 0u);
+  EXPECT_EQ(s.hist(Hist::kGompBarrierWaitCentralNs).count, 0u);
 }
 
 TEST(Telemetry, McaBackendObservesMrapiLayer) {

@@ -75,68 +75,5 @@ TEST(MemoryWindow, OverlapLogic) {
   EXPECT_TRUE(c.overlaps(a));
 }
 
-// --- ClusterOccupancy (nested-team bubble reservations) ------------------------
-
-TEST(ClusterOccupancy, PrefersRequestedClusterWhenItFits) {
-  ClusterOccupancy occ(3, 8);
-  EXPECT_EQ(occ.capacity_per_cluster(), 8u);
-  auto c = occ.reserve_bubble(4, 2);
-  ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(*c, 2u);
-  EXPECT_EQ(occ.load(2), 4u);
-  EXPECT_EQ(occ.load(0), 0u);
-}
-
-TEST(ClusterOccupancy, SpillsToLeastLoadedWhenPreferredIsFull) {
-  ClusterOccupancy occ(3, 8);
-  ASSERT_TRUE(occ.reserve_bubble(8, 0).has_value());  // fill cluster 0
-  ASSERT_TRUE(occ.reserve_bubble(3, 1).has_value());  // partially load 1
-  // Preferred 0 is full; least-loaded fitting cluster is 2 (load 0 < 3).
-  auto c = occ.reserve_bubble(4, 0);
-  ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(*c, 2u);
-}
-
-TEST(ClusterOccupancy, LowestIdWinsLoadTies) {
-  ClusterOccupancy occ(3, 8);
-  ASSERT_TRUE(occ.reserve_bubble(8, 1).has_value());  // fill preferred 1
-  auto c = occ.reserve_bubble(2, 1);                  // 0 and 2 tie at load 0
-  ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(*c, 0u);
-}
-
-TEST(ClusterOccupancy, RefusesWhenNoClusterFits) {
-  ClusterOccupancy occ(2, 4);
-  ASSERT_TRUE(occ.reserve_bubble(3, 0).has_value());
-  ASSERT_TRUE(occ.reserve_bubble(3, 1).has_value());
-  // Width 2 does not fit either cluster (load 3, capacity 4).
-  EXPECT_FALSE(occ.reserve_bubble(2, 0).has_value());
-  // Width 1 still fits.
-  EXPECT_TRUE(occ.reserve_bubble(1, 0).has_value());
-  // A team wider than any cluster can never bubble.
-  EXPECT_FALSE(occ.reserve_bubble(5, 0).has_value());
-}
-
-TEST(ClusterOccupancy, ReleaseMakesRoomAgain) {
-  ClusterOccupancy occ(2, 4);
-  auto c = occ.reserve_bubble(4, 1);
-  ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(occ.load(1), 4u);  // cluster 1 is now full
-  occ.release(*c, 4);
-  EXPECT_EQ(occ.load(1), 0u);
-  auto again = occ.reserve_bubble(4, 1);
-  ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(*again, 1u);
-}
-
-TEST(ClusterOccupancy, ReleaseClampsAtZero) {
-  ClusterOccupancy occ(2, 4);
-  occ.release(0, 3);  // spurious release must not underflow
-  EXPECT_EQ(occ.load(0), 0u);
-  ASSERT_TRUE(occ.reserve_bubble(2, 0).has_value());
-  occ.release(0, 100);
-  EXPECT_EQ(occ.load(0), 0u);
-}
-
 }  // namespace
 }  // namespace ompmca::platform

@@ -4,7 +4,6 @@
 #include <set>
 #include <vector>
 
-#include "gomp/barrier.hpp"
 #include "platform/cost_model.hpp"
 #include "platform/topology.hpp"
 
@@ -89,30 +88,13 @@ TEST(Placement, SameClusterAgreesWithClusterIdsAcrossBoundaries) {
   EXPECT_TRUE(t.same_cluster(last_of_0, last_of_0));
 }
 
-TEST(Placement, GenericTopologyDegeneratesHierarchicalBarrierToTree) {
+TEST(Placement, GenericTopologyTeamSpansOneCluster) {
   // Topology::generic() models a single-cluster SMP; a team shape built on
-  // it spans one cluster no matter the width, so a hierarchical-barrier
-  // request must collapse to the flat arity-4 tree.
+  // it spans one cluster no matter the width.
   Topology t = Topology::generic(4, 2);
   ASSERT_EQ(t.num_clusters(), 1u);
   TeamShape shape(t, 8, PlacementPolicy::kScatter);
   EXPECT_EQ(shape.clusters_spanned(), 1u);
-
-  EXPECT_EQ(gomp::effective_barrier_kind(gomp::BarrierKind::kHierarchical,
-                                         gomp::WaitPolicy::kPassive,
-                                         shape.clusters_spanned()),
-            gomp::BarrierKind::kTree);
-
-  std::vector<unsigned> cluster_of_thread(8);
-  for (unsigned i = 0; i < 8; ++i) {
-    cluster_of_thread[i] =
-        t.cluster_of_hw_thread(t.placement(i, PlacementPolicy::kScatter));
-  }
-  auto barrier =
-      gomp::make_barrier(gomp::BarrierKind::kHierarchical, 8,
-                         gomp::WaitPolicy::kPassive, cluster_of_thread.data());
-  EXPECT_NE(dynamic_cast<gomp::TreeBarrier*>(barrier.get()), nullptr);
-  EXPECT_EQ(dynamic_cast<gomp::HierarchicalBarrier*>(barrier.get()), nullptr);
 }
 
 TEST(Placement, CompactSlowerForComputeBoundSmallTeams) {
