@@ -51,6 +51,15 @@ echo "wait paths (20 repeats): clean under TSan"
 ./build-tsan/tests/gomp/gomp_test --gtest_filter='*LoopClaim*:*HotTeam*' \
   --gtest_repeat=20 >/dev/null
 echo "loop claims and hot teams (20 repeats): clean under TSan"
+# The MRAPI mutex's state word (spinning and parked hand-offs, timed and
+# recursive lockers, retire() waking parked waiters) and the constructs on
+# top of it: critical, and reductions combined by the barrier's last
+# arriver, back to back.  Repeated for the same reason.
+./build-tsan/tests/mrapi/mrapi_test --gtest_filter='*Mutex*' \
+  --gtest_repeat=20 >/dev/null
+./build-tsan/tests/gomp/gomp_test --gtest_filter='*Reduc*:*Critical*' \
+  --gtest_repeat=20 >/dev/null
+echo "mutex, reductions and criticals (20 repeats): clean under TSan"
 
 echo "== [3/13] ASan+UBSan, all suites =="
 cmake -B build-asan -S . -DOMPMCA_WERROR=ON -DOMPMCA_ASAN=ON
@@ -75,6 +84,14 @@ echo "wait paths (20 repeats): clean under checker"
 OMPMCA_CHECK_ABORT=1 ./build-check/tests/gomp/gomp_test \
   --gtest_filter='*LoopClaim*:*HotTeam*' --gtest_repeat=20 >/dev/null
 echo "loop claims and hot teams (20 repeats): clean under checker"
+# The Mutex suite seeds double unlocks, wrong-owner and out-of-order
+# releases and stale-handle locks on purpose, so here the checker reports
+# (as in the ctest pass above) instead of aborting.
+./build-check/tests/mrapi/mrapi_test \
+  --gtest_filter='*Mutex*' --gtest_repeat=20 >/dev/null 2>&1
+OMPMCA_CHECK_ABORT=1 ./build-check/tests/gomp/gomp_test \
+  --gtest_filter='*Reduc*:*Critical*' --gtest_repeat=20 >/dev/null
+echo "mutex, reductions and criticals (20 repeats): pass under checker"
 
 echo "== [5/13] fault injection (OMPMCA_FAULT=ON + OMPMCA_CHECK=ON), all suites =="
 # Compiles the injection points and recovery policies in and runs the whole

@@ -69,8 +69,17 @@ void McaMutex::lock() {
   }
 }
 
-// Key checked at lock time; an unlock mismatch is unreachable here.
-void McaMutex::unlock() { (void)m_->unlock(mrapi::LockKey{1}); }
+void McaMutex::unlock() {
+  // The key is the constant 1 (non-recursive), so any failure means the
+  // caller does not hold this mutex, or it was retired under the holder:
+  // mutual exclusion is already broken, and returning would hide it.
+  const Status s = m_->unlock(mrapi::LockKey{1});
+  if (ok(s)) return;
+  OMPMCA_LOG_ERROR("MCA backend: mutex unlock failed: %s; aborting",
+                   std::string(to_string(s)).c_str());
+  obs::trace::dump_flight_record("MCA mutex unlock failed");
+  std::abort();
+}
 
 bool McaMutex::try_lock() {
   mrapi::LockKey key;

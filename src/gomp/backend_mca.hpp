@@ -33,6 +33,8 @@ class McaMutex final : public BackendMutex {
   /// (retired mutex, retries exhausted) logs, dumps the flight record and
   /// aborts — returning would run the critical section unprotected.
   void lock() override;
+  /// Fail-stop as well: an unlock the MRAPI mutex rejects (not held,
+  /// retired) logs, dumps the flight record and aborts.
   void unlock() override;
   bool try_lock() override;
 

@@ -20,12 +20,24 @@ CentralBarrier::CentralBarrier(unsigned nthreads, WaitPolicy policy)
 }
 
 void CentralBarrier::arrive_and_wait() {
+  arrive([] {});
+}
+
+void CentralBarrier::arrive_and_wait(FunctionRef<void()> last) {
+  arrive(last);
+}
+
+template <typename Last>
+void CentralBarrier::arrive(Last&& last) {
   OMPMCA_CHECK_BARRIER_HELD();
   const bool my_sense = !sense_.load(std::memory_order_relaxed);
+  // acq_rel: the last arriver's increment reads every earlier one, so
+  // last() sees all the writes the team made before arriving.
   if (count_.fetch_add(1, std::memory_order_acq_rel) + 1 == n_) {
+    last();
     count_.store(0, std::memory_order_relaxed);
     // seq_cst: releaser half of the Parker's Dekker pair (the sense store
-    // precedes wake()'s sleeper check).
+    // precedes wake()'s sleeper check); it also publishes last()'s writes.
     sense_.store(my_sense, std::memory_order_seq_cst);
     parker_.wake();
     return;

@@ -25,6 +25,7 @@
 #include <string_view>
 
 #include "common/align.hpp"
+#include "common/function_ref.hpp"
 #include "gomp/icv.hpp"
 #include "gomp/wait.hpp"
 
@@ -46,10 +47,18 @@ class CentralBarrier {
 
   /// Blocks until all size() threads have arrived.  Reusable.
   void arrive_and_wait();
+  /// As arrive_and_wait(), but the last arriver runs @p last before it
+  /// releases the others: @p last sees every thread's writes from before
+  /// its arrival, and every thread sees @p last's writes once released.
+  /// A reduction combines its partial values here, in one barrier.
+  void arrive_and_wait(FunctionRef<void()> last);
   unsigned size() const { return n_; }
 
  private:
   friend struct CentralBarrierLayout;  // the layout guard in barrier_test
+
+  template <typename Last>
+  void arrive(Last&& last);
 
   // Arrivals: the counter shares its line with the width every arriver
   // reads right after its fetch_add.

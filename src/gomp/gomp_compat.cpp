@@ -39,6 +39,31 @@ ParallelContext& current_ctx() {
   return *ctx;
 }
 
+/// The runtime a critical entry locks in: inside a region, the calling
+/// thread's own (no process-wide lock on the per-call path); outside one,
+/// the compat runtime.  The mutex itself is not cached in the ABI's name
+/// slot: gomp_compat_reset() would leave that pointer dangling.
+Runtime& critical_runtime() {
+  if (ParallelContext* ctx = Runtime::current()) return ctx->runtime();
+  return gomp_compat_runtime();
+}
+
+/// A named critical's registry key: the ABI hands a per-name pointer slot,
+/// and its address is the identity.
+class CriticalName {
+ public:
+  explicit CriticalName(void** pptr) {
+    len_ = std::snprintf(buf_, sizeof(buf_), "@%p", static_cast<void*>(pptr));
+  }
+  std::string_view view() const {
+    return {buf_, static_cast<std::size_t>(len_)};
+  }
+
+ private:
+  char buf_[32];
+  int len_;
+};
+
 /// Always-on ABI guard: a loop start with incr == 0 used to return false
 /// without opening a loop, and the GOMP_loop_end the compiler emits after
 /// it then dereferenced a null descriptor in release builds.
@@ -114,24 +139,19 @@ void GOMP_parallel(void (*fn)(void*), void* data, unsigned num_threads) {
 void GOMP_barrier() { current_ctx().barrier(); }
 
 void GOMP_critical_start() {
-  gomp_compat_runtime().unnamed_critical_mutex().lock();
+  critical_runtime().unnamed_critical_mutex().lock();
 }
 
 void GOMP_critical_end() {
-  gomp_compat_runtime().unnamed_critical_mutex().unlock();
+  critical_runtime().unnamed_critical_mutex().unlock();
 }
 
 void GOMP_critical_name_start(void** pptr) {
-  // The ABI hands a per-name pointer slot; its address is the identity.
-  char name[32];
-  std::snprintf(name, sizeof(name), "@%p", static_cast<void*>(pptr));
-  gomp_compat_runtime().critical_mutex(name).lock();
+  critical_runtime().critical_mutex(CriticalName(pptr).view()).lock();
 }
 
 void GOMP_critical_name_end(void** pptr) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "@%p", static_cast<void*>(pptr));
-  gomp_compat_runtime().critical_mutex(name).unlock();
+  critical_runtime().critical_mutex(CriticalName(pptr).view()).unlock();
 }
 
 bool GOMP_single_start() { return current_ctx().single_begin(); }

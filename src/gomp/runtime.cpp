@@ -199,19 +199,19 @@ std::optional<EnvIcvs> Runtime::swap_env_override(std::optional<EnvIcvs> next) {
   return std::nullopt;
 }
 
-BackendMutex& Runtime::critical_mutex(const std::string& name) {
+BackendMutex& Runtime::critical_mutex(std::string_view name) {
   MutexLock lk(critical_mu_);
   auto it = criticals_.find(name);
   if (it == criticals_.end()) {
     auto mu = backend_->create_mutex();
     if (mu == nullptr) {
       OMPMCA_LOG_WARN(
-          "critical(%s): backend mutex create failed, degrading to a native "
-          "mutex",
-          name.c_str());
+          "critical(%.*s): backend mutex create failed, degrading to a "
+          "native mutex",
+          static_cast<int>(name.size()), name.data());
       mu = std::make_unique<FallbackNativeMutex>();
     }
-    it = criticals_.emplace(name, std::move(mu)).first;
+    it = criticals_.emplace(std::string(name), std::move(mu)).first;
   }
   return *it->second;
 }

@@ -104,7 +104,7 @@ class Runtime {
   // --- services used by ParallelContext ------------------------------------------
   /// Mutex backing critical(@p name); created through the backend on first
   /// use (Listing 4's gomp_mutex path).
-  BackendMutex& critical_mutex(const std::string& name);
+  BackendMutex& critical_mutex(std::string_view name);
   /// critical_mutex("") without the registry: created on first use, then
   /// published, so later entries cost one load.
   BackendMutex& unnamed_critical_mutex();
@@ -146,7 +146,8 @@ class Runtime {
   std::array<std::unique_ptr<Team>, ThreadPool::kMaxSlots> hot_teams_;
 
   CapMutex critical_mu_;
-  std::map<std::string, std::unique_ptr<BackendMutex>> criticals_
+  // std::less<>: looked up by string_view, so an entry allocates no key.
+  std::map<std::string, std::unique_ptr<BackendMutex>, std::less<>> criticals_
       OMPMCA_GUARDED_BY(critical_mu_);
   // criticals_[""], published once it exists (owned by the map).
   std::atomic<BackendMutex*> unnamed_critical_{nullptr};

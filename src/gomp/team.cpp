@@ -133,7 +133,14 @@ unsigned ParallelContext::level() const { return team_->level_; }
 
 Runtime& ParallelContext::runtime() const { return team_->rt_; }
 
-void ParallelContext::barrier() {
+void ParallelContext::barrier() { barrier_impl<false>({}); }
+
+void ParallelContext::combining_barrier(FunctionRef<void()> combine) {
+  barrier_impl<true>(combine);
+}
+
+template <bool kCombine>
+void ParallelContext::barrier_impl(FunctionRef<void()> combine) {
   OMPMCA_CHECK_BARRIER_USAGE(team_);
   team_->tasks_.drain(tid_, &current_task_);
   // Width-1 fast path: the drain above is the whole barrier — no atomics,
@@ -142,19 +149,27 @@ void ParallelContext::barrier() {
   // bug regardless of team width (wider runs would deadlock).
   if (team_->nthreads_ == 1) {
     OMPMCA_CHECK_BARRIER_HELD();
+    if constexpr (kCombine) combine();
     return;
   }
+  auto arrive = [&] {
+    if constexpr (kCombine) {
+      team_->barrier_.arrive_and_wait(combine);
+    } else {
+      team_->barrier_.arrive_and_wait();
+    }
+  };
   if (obs::enabled() || obs::trace::enabled()) {
     obs::count(obs::Counter::kGompBarrier);
     const std::uint64_t t0 = monotonic_nanos();
-    team_->barrier_.arrive_and_wait();
+    arrive();
     if (obs::enabled()) {
       obs::record(obs::Hist::kGompBarrierWaitCentralNs,
                   monotonic_nanos() - t0);
     }
     obs::trace::complete(obs::trace::Type::kBarrier, t0, team_->nthreads_);
   } else {
-    team_->barrier_.arrive_and_wait();
+    arrive();
   }
 }
 
@@ -371,7 +386,7 @@ void ParallelContext::critical(FunctionRef<void()> fn) {
 
 void ParallelContext::critical(std::string_view name,
                                FunctionRef<void()> fn) {
-  run_critical(team_->rt_.critical_mutex(std::string(name)), name, fn);
+  run_critical(team_->rt_.critical_mutex(name), name, fn);
 }
 
 void ParallelContext::run_critical(BackendMutex& mu,

@@ -115,7 +115,8 @@ class ParallelContext {
   // --- reduction -------------------------------------------------------------------
   /// Combines each thread's @p local with @p op in thread order
   /// (deterministic) and returns the result on every thread.  Includes the
-  /// construct's barriers.  T must be trivially copyable and <= 64 bytes.
+  /// construct's barrier (one: the last arriver combines).  T must be
+  /// trivially copyable and <= 128 bytes.
   template <typename T, typename Op>
   T reduce(T local, Op op);
 
@@ -173,6 +174,12 @@ class ParallelContext {
                          long* hi) const;
   /// Joins the next ring generation's shared loop descriptor.
   LoopInstance& enter_shared_loop(long begin, long end, ScheduleSpec spec);
+  /// barrier() whose last arriver runs @p combine before the release
+  /// (CentralBarrier::arrive_and_wait's combining overload): reduce()'s one
+  /// barrier.
+  void combining_barrier(FunctionRef<void()> combine);
+  template <bool kCombine>
+  void barrier_impl(FunctionRef<void()> combine);
   /// critical() body around an already-resolved mutex (@p name keys the
   /// checker's order graph).
   void run_critical(BackendMutex& mu, std::string_view name,
@@ -272,21 +279,24 @@ T ParallelContext::reduce(T local, Op op) {
   obs::ScopedTimer obs_timer(obs::Hist::kGompReductionNs);
   static_assert(sizeof(T) <= Team::kMaxReduceBytes,
                 "reduction type exceeds the per-thread slot");
-  std::memcpy(team_->reduce_slots_[tid_].bytes.data(), &local, sizeof(T));
-  barrier();
-  if (tid_ == 0) {
+  Team& team = *team_;
+  std::memcpy(team.reduce_slots_[tid_].bytes.data(), &local, sizeof(T));
+  // The last arriver folds the slots in thread order before it releases
+  // the team.  One result slot is enough: it is next written by the last
+  // arriver of a later barrier, which every thread reaches only after
+  // reading this result.
+  combining_barrier([&team, &op] {
     T acc;
-    std::memcpy(&acc, team_->reduce_slots_[0].bytes.data(), sizeof(T));
-    for (unsigned t = 1; t < team_->nthreads_; ++t) {
+    std::memcpy(&acc, team.reduce_slots_[0].bytes.data(), sizeof(T));
+    for (unsigned t = 1; t < team.nthreads_; ++t) {
       T v;
-      std::memcpy(&v, team_->reduce_slots_[t].bytes.data(), sizeof(T));
+      std::memcpy(&v, team.reduce_slots_[t].bytes.data(), sizeof(T));
       acc = op(acc, v);
     }
-    std::memcpy(team_->reduce_result_.bytes.data(), &acc, sizeof(T));
-  }
-  barrier();
+    std::memcpy(team.reduce_result_.bytes.data(), &acc, sizeof(T));
+  });
   T result;
-  std::memcpy(&result, team_->reduce_result_.bytes.data(), sizeof(T));
+  std::memcpy(&result, team.reduce_result_.bytes.data(), sizeof(T));
   return result;
 }
 

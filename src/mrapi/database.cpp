@@ -295,7 +295,11 @@ Status DomainState::rmem_delete(ResourceKey key) {
 Database::Database() : default_topo_(platform::Topology::t4240rdb()) {}
 
 Database& Database::instance() {
-  static Database db;
+  // Leaked on purpose: a runtime that outlives main (a global, such as the
+  // GOMP ABI's) still finalizes its MRAPI nodes during static destruction,
+  // after a function-local static would already be gone, and ~DomainState
+  // would then join pool workers that are still parked.
+  static Database& db = *new Database;
   return db;
 }
 

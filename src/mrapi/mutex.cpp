@@ -1,8 +1,16 @@
 #include "mrapi/mutex.hpp"
 
-#include <chrono>
+#include <climits>
+#include <ctime>
+
+#if defined(__linux__)
+#include <linux/futex.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
 
 #include "check/check.hpp"
+#include "common/spin.hpp"
 #include "common/time.hpp"
 #include "fault/fault.hpp"
 #include "obs/telemetry.hpp"
@@ -10,15 +18,55 @@
 
 namespace ompmca::mrapi {
 
+namespace {
+
+static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t),
+              "the futex word is the atomic's own storage");
+
+/// Sleeps while @p word holds @p expected, for at most @p rel_ns
+/// (0 = untimed).  May return early (a wake, a signal, a changed word):
+/// callers re-check the word.
+void park(std::atomic<std::uint32_t>& word, std::uint32_t expected,
+          std::uint64_t rel_ns) {
+#if defined(__linux__)
+  timespec ts{static_cast<std::time_t>(rel_ns / 1'000'000'000),
+              static_cast<long>(rel_ns % 1'000'000'000)};
+  // The result is discarded: EAGAIN (word changed), EINTR and ETIMEDOUT all
+  // send the caller back to re-read the word.
+  (void)syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&word),
+                FUTEX_WAIT_PRIVATE, expected, rel_ns == 0 ? nullptr : &ts,
+                nullptr, 0);
+#else
+  if (rel_ns == 0) {
+    word.wait(expected, std::memory_order_relaxed);
+  } else {
+    std::this_thread::yield();
+  }
+#endif
+}
+
+/// Wakes up to @p n threads parked on @p word.
+void wake(std::atomic<std::uint32_t>& word, int n) {
+#if defined(__linux__)
+  // The result (the number woken) is not needed.
+  (void)syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&word),
+                FUTEX_WAKE_PRIVATE, n, nullptr, nullptr, 0);
+#else
+  if (n == 1) {
+    word.notify_one();
+  } else {
+    word.notify_all();
+  }
+#endif
+}
+
+}  // namespace
+
 Status Mutex::lock(Timeout timeout_ms, LockKey* key) {
   obs::ScopedTimer timer(obs::Hist::kMrapiMutexAcquireNs);
   const std::uint64_t t0 = obs::trace::enabled() ? monotonic_nanos() : 0;
-  MutexLock lk(mu_);
-  // Contention is decided before lock_locked may block: someone else holds
-  // the mutex right now.
-  const bool contended =
-      depth_ > 0 && owner_ != std::this_thread::get_id() && !retired_;
-  const Status s = lock_locked(lk, timeout_ms, key);
+  bool contended = false;
+  const Status s = acquire(timeout_ms, key, &contended);
   if (t0 != 0 && s == Status::kSuccess) {
     obs::trace::complete(obs::trace::Type::kMutexAcquire, t0,
                          contended ? 1 : 0);
@@ -27,26 +75,23 @@ Status Mutex::lock(Timeout timeout_ms, LockKey* key) {
 }
 
 Status Mutex::trylock(LockKey* key) {
-  MutexLock lk(mu_);
-  return lock_locked(lk, kTimeoutImmediate, key);
+  bool contended = false;
+  return acquire(kTimeoutImmediate, key, &contended);
 }
 
-Status Mutex::lock_locked(MutexLock& lk, Timeout timeout_ms, LockKey* key) {
+Status Mutex::acquire(Timeout timeout_ms, LockKey* key, bool* contended) {
   if (key == nullptr) return Status::kInvalidArgument;
-  if (retired_) {
-    OMPMCA_CHECK_USE_AFTER_DELETE(check::LockClass::kMrapiMutex, this);
-    return Status::kMutexIdInvalid;
-  }
   const auto self = std::this_thread::get_id();
 
-  if (depth_ > 0 && owner_ == self) {
+  // Only the holder stores its own id, so reading it back means this
+  // thread holds the mutex.
+  if (owner_.load(std::memory_order_relaxed) == self) {
     if (!attrs_.recursive) {
       // A non-recursive MRAPI mutex reports the relock instead of
       // self-deadlocking.
       return Status::kMutexLocked;
     }
-    ++depth_;
-    key->value = depth_;
+    key->value = ++depth_;
     obs::count(obs::Counter::kMrapiMutexAcquire);
     OMPMCA_CHECK_ACQUIRE(check::LockClass::kMrapiMutex, this, 0);
     return Status::kSuccess;
@@ -54,32 +99,24 @@ Status Mutex::lock_locked(MutexLock& lk, Timeout timeout_ms, LockKey* key) {
 
   // Fault injection simulates a timeout on the blocking acquire path only;
   // trylock (kTimeoutImmediate) keeps its exact semantics so lock-free
-  // fast paths stay deterministic under chaos schedules.
+  // fast paths stay deterministic under chaos schedules.  A retired mutex
+  // still reports itself as such.
   if (timeout_ms != kTimeoutImmediate &&
-      OMPMCA_FAULT_POINT(kMrapiMutexAcquire)) {
+      OMPMCA_FAULT_POINT(kMrapiMutexAcquire) && !retired()) {
     return Status::kTimeout;
   }
 
-  // Retirement also satisfies the wait so parked threads can fail fast
-  // instead of sleeping on a deleted mutex forever.
-  auto available = [this]() OMPMCA_REQUIRES(mu_) {
-    return depth_ == 0 || retired_;
-  };
-  if (depth_ > 0) {
+  std::uint32_t c = kFree;
+  if (!state_.compare_exchange_strong(c, kLocked, std::memory_order_acquire,
+                                      std::memory_order_relaxed)) {
+    if (c == kRetired) return retired_error();
     obs::count(obs::Counter::kMrapiMutexContended);
     if (timeout_ms == kTimeoutImmediate) return Status::kMutexLocked;
-    if (timeout_ms == kTimeoutInfinite) {
-      lk.wait(cv_, available);
-    } else if (!lk.wait_for(cv_, std::chrono::milliseconds(timeout_ms),
-                            available)) {
-      return Status::kTimeout;
-    }
-    if (retired_) {
-      OMPMCA_CHECK_USE_AFTER_DELETE(check::LockClass::kMrapiMutex, this);
-      return Status::kMutexIdInvalid;
-    }
+    *contended = true;
+    const Status s = lock_slow(timeout_ms);
+    if (s != Status::kSuccess) return s;
   }
-  owner_ = self;
+  owner_.store(self, std::memory_order_relaxed);
   depth_ = 1;
   key->value = 1;
   obs::count(obs::Counter::kMrapiMutexAcquire);
@@ -87,17 +124,63 @@ Status Mutex::lock_locked(MutexLock& lk, Timeout timeout_ms, LockKey* key) {
   return Status::kSuccess;
 }
 
-Status Mutex::unlock(const LockKey& key) {
-  MutexLock lk(mu_);
-  if (retired_) {
-    OMPMCA_CHECK_USE_AFTER_DELETE(check::LockClass::kMrapiMutex, this);
-    return Status::kMutexIdInvalid;
+Status Mutex::lock_slow(Timeout timeout_ms) {
+  const std::uint64_t deadline =
+      timeout_ms == kTimeoutInfinite
+          ? 0
+          : monotonic_nanos() + std::uint64_t{timeout_ms} * 1'000'000;
+
+  // Spin: take the word as plain locked when it frees up.  Any waiter
+  // parked meanwhile was woken by the unlock that freed it, and marks the
+  // word contended again when it finds it taken.
+  for (unsigned i = 0; i < kSpinPauses; ++i) {
+    cpu_relax();
+    std::uint32_t c = state_.load(std::memory_order_relaxed);
+    if (c == kRetired) return retired_error();
+    if (c == kFree &&
+        state_.compare_exchange_weak(c, kLocked, std::memory_order_acquire,
+                                     std::memory_order_relaxed)) {
+      return Status::kSuccess;
+    }
   }
-  if (depth_ == 0) {
+
+  // Park: mark the word contended (so the holder's unlock wakes someone),
+  // sleep on it, and re-take it as contended once it frees.
+  std::uint32_t c = state_.load(std::memory_order_relaxed);
+  for (;;) {
+    if (c == kRetired) return retired_error();
+    if (c == kFree) {
+      if (state_.compare_exchange_weak(c, kContended,
+                                       std::memory_order_acquire,
+                                       std::memory_order_relaxed)) {
+        return Status::kSuccess;
+      }
+      continue;  // c holds the word's new value
+    }
+    if (c == kLocked &&
+        !state_.compare_exchange_weak(c, kContended,
+                                      std::memory_order_relaxed)) {
+      continue;
+    }
+    std::uint64_t rel_ns = 0;
+    if (deadline != 0) {
+      const std::uint64_t now = monotonic_nanos();
+      if (now >= deadline) return Status::kTimeout;
+      rel_ns = deadline - now;
+    }
+    park(state_, kContended, rel_ns);
+    c = state_.load(std::memory_order_relaxed);
+  }
+}
+
+Status Mutex::unlock(const LockKey& key) {
+  const std::uint32_t c = state_.load(std::memory_order_relaxed);
+  if (c == kRetired) return retired_error();
+  if (c == kFree) {
     OMPMCA_CHECK_DOUBLE_UNLOCK(check::LockClass::kMrapiMutex, this);
     return Status::kMutexNotLocked;
   }
-  if (owner_ != std::this_thread::get_id()) {
+  if (owner_.load(std::memory_order_relaxed) != std::this_thread::get_id()) {
     OMPMCA_CHECK_UNLOCK_NOT_OWNER(check::LockClass::kMrapiMutex, this);
     return Status::kMutexKeyInvalid;
   }
@@ -109,31 +192,28 @@ Status Mutex::unlock(const LockKey& key) {
   --depth_;
   OMPMCA_CHECK_RELEASE(check::LockClass::kMrapiMutex, this);
   if (depth_ == 0) {
-    owner_ = std::thread::id{};
-    lk.unlock();
-    cv_.notify_one();
+    owner_.store(std::thread::id{}, std::memory_order_relaxed);
+    if (state_.exchange(kFree, std::memory_order_release) == kContended) {
+      wake(state_, 1);
+    }
   }
   return Status::kSuccess;
 }
 
 Status Mutex::retire() {
-  MutexLock lk(mu_);
-  if (retired_) return Status::kMutexIdInvalid;
-  if (depth_ > 0) return Status::kMutexLocked;
-  retired_ = true;
-  lk.unlock();
-  cv_.notify_all();
+  std::uint32_t c = kFree;
+  if (!state_.compare_exchange_strong(c, kRetired, std::memory_order_acq_rel,
+                                      std::memory_order_relaxed)) {
+    return c == kRetired ? Status::kMutexIdInvalid : Status::kMutexLocked;
+  }
+  // Waiters parked behind the last holder may still sleep on the word.
+  wake(state_, INT_MAX);
   return Status::kSuccess;
 }
 
-bool Mutex::retired() const {
-  MutexLock lk(mu_);
-  return retired_;
-}
-
-bool Mutex::locked() const {
-  MutexLock lk(mu_);
-  return depth_ > 0;
+Status Mutex::retired_error() const {
+  OMPMCA_CHECK_USE_AFTER_DELETE(check::LockClass::kMrapiMutex, this);
+  return Status::kMutexIdInvalid;
 }
 
 }  // namespace ompmca::mrapi

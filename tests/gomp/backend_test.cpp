@@ -180,5 +180,15 @@ TEST(McaBackendSpecificDeathTest, LockOnRetiredMutexAborts) {
   EXPECT_DEATH(mu.lock(), "mutex lock failed");
 }
 
+TEST(McaBackendSpecificDeathTest, UnlockOnRetiredMutexAborts) {
+  // An unlock the MRAPI mutex rejects must not be discarded: the critical
+  // section it closes ran without the exclusion the caller assumed.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto m = std::make_shared<mrapi::Mutex>();
+  ASSERT_EQ(m->retire(), Status::kSuccess);
+  McaMutex mu(m);
+  EXPECT_DEATH(mu.unlock(), "mutex unlock failed");
+}
+
 }  // namespace
 }  // namespace ompmca::gomp

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -108,6 +109,146 @@ TEST(Mutex, MutualExclusionStress) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(counter, kThreads * kIters);
+}
+
+// Every hand-off goes through a parked waiter: the holder keeps the mutex
+// well past a locker's spin window, so lockers mark the word contended and
+// sleep on it, and each unlock must wake one of them.
+TEST(Mutex, MutualExclusionStressParkedHandOff) {
+  Mutex m;
+  long counter = 0;
+  const int kThreads = 6;
+  const int kIters = 150;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kIters; ++i) {
+        LockKey key;
+        ASSERT_EQ(m.lock(kTimeoutInfinite, &key), Status::kSuccess);
+        const long seen = counter;
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        counter = seen + 1;  // lost update iff the mutex is broken
+        ASSERT_EQ(m.unlock(key), Status::kSuccess);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(counter, kThreads * kIters);
+  EXPECT_FALSE(m.locked());
+}
+
+// A timed locker behind a holder and a parked waiter goes through the park
+// path with a deadline, and gives up with kTimeout; the parked waiter
+// still gets the mutex once the holder lets go.
+TEST(Mutex, ContendedTimedLockTimesOut) {
+  Mutex m;
+  LockKey key;
+  ASSERT_EQ(m.lock(kTimeoutInfinite, &key), Status::kSuccess);
+  std::atomic<bool> waiter_acquired{false};
+  std::thread waiter([&] {
+    LockKey k;
+    ASSERT_EQ(m.lock(kTimeoutInfinite, &k), Status::kSuccess);
+    waiter_acquired = true;
+    EXPECT_EQ(m.unlock(k), Status::kSuccess);
+  });
+  std::thread timed([&] {
+    LockKey k;
+    EXPECT_EQ(m.lock(30, &k), Status::kTimeout);
+  });
+  timed.join();
+  EXPECT_FALSE(waiter_acquired.load());
+  ASSERT_EQ(m.unlock(key), Status::kSuccess);
+  waiter.join();
+  EXPECT_TRUE(waiter_acquired.load());
+  EXPECT_FALSE(m.locked());
+}
+
+// Keys unwind innermost-first while a second thread waits, and the waiter
+// gets the mutex only after the outermost release.
+TEST(Mutex, RecursiveKeysUnwindWhileContended) {
+  Mutex m(MutexAttributes{.recursive = true});
+  LockKey k1, k2, k3;
+  ASSERT_EQ(m.lock(kTimeoutInfinite, &k1), Status::kSuccess);
+  ASSERT_EQ(m.lock(kTimeoutInfinite, &k2), Status::kSuccess);
+  ASSERT_EQ(m.lock(kTimeoutInfinite, &k3), Status::kSuccess);
+  std::atomic<bool> waiter_acquired{false};
+  std::thread waiter([&] {
+    LockKey k;
+    ASSERT_EQ(m.lock(kTimeoutInfinite, &k), Status::kSuccess);
+    EXPECT_EQ(k.value, 1u);
+    waiter_acquired = true;
+    EXPECT_EQ(m.unlock(k), Status::kSuccess);
+  });
+  // Give the waiter time to reach its park; nothing below depends on it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  EXPECT_EQ(m.unlock(k1), Status::kMutexKeyInvalid);  // out of order
+  EXPECT_EQ(m.unlock(k3), Status::kSuccess);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  EXPECT_FALSE(waiter_acquired.load());
+  EXPECT_EQ(m.unlock(k2), Status::kSuccess);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  EXPECT_FALSE(waiter_acquired.load());
+  EXPECT_EQ(m.unlock(k1), Status::kSuccess);
+  waiter.join();
+  EXPECT_TRUE(waiter_acquired.load());
+  EXPECT_FALSE(m.locked());
+}
+
+TEST(Mutex, RetireHeldMutexRefused) {
+  Mutex m;
+  LockKey key;
+  ASSERT_EQ(m.lock(kTimeoutInfinite, &key), Status::kSuccess);
+  EXPECT_EQ(m.retire(), Status::kMutexLocked);
+  EXPECT_FALSE(m.retired());
+  ASSERT_EQ(m.unlock(key), Status::kSuccess);
+  EXPECT_EQ(m.retire(), Status::kSuccess);
+  EXPECT_EQ(m.retire(), Status::kMutexIdInvalid);
+  EXPECT_EQ(m.lock(kTimeoutInfinite, &key), Status::kMutexIdInvalid);
+  EXPECT_EQ(m.trylock(&key), Status::kMutexIdInvalid);
+  EXPECT_EQ(m.unlock(key), Status::kMutexIdInvalid);
+}
+
+// The holder unlocks and at once retires while lockers are parked behind
+// it.  Each locker either gets the mutex first (and the retire is refused
+// with kMutexLocked until it lets go) or wakes to the retired state and
+// fails with kMutexIdInvalid.  None hangs, and none ever holds a retired
+// mutex.
+TEST(Mutex, RetireWakesParkedWaiters) {
+  constexpr int kRounds = 20;
+  constexpr int kWaiters = 4;
+  for (int round = 0; round < kRounds; ++round) {
+    Mutex m;
+    LockKey key;
+    ASSERT_EQ(m.lock(kTimeoutInfinite, &key), Status::kSuccess);
+    std::atomic<int> acquired{0};
+    std::atomic<int> invalid{0};
+    std::atomic<int> held_retired{0};
+    std::vector<std::thread> waiters;
+    for (int w = 0; w < kWaiters; ++w) {
+      waiters.emplace_back([&] {
+        LockKey k;
+        const Status s = m.lock(kTimeoutInfinite, &k);
+        if (s == Status::kSuccess) {
+          acquired.fetch_add(1);
+          if (m.retired()) held_retired.fetch_add(1);
+          EXPECT_EQ(m.unlock(k), Status::kSuccess);
+        } else {
+          EXPECT_EQ(s, Status::kMutexIdInvalid);
+          invalid.fetch_add(1);
+        }
+      });
+    }
+    // Let the lockers run past their spin window and park.
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ASSERT_EQ(m.unlock(key), Status::kSuccess);
+    Status r;
+    while ((r = m.retire()) == Status::kMutexLocked) std::this_thread::yield();
+    EXPECT_EQ(r, Status::kSuccess);
+    for (auto& t : waiters) t.join();
+    EXPECT_EQ(acquired.load() + invalid.load(), kWaiters);
+    EXPECT_EQ(held_retired.load(), 0);
+    EXPECT_TRUE(m.retired());
+  }
 }
 
 // --- Semaphore ----------------------------------------------------------------

@@ -187,8 +187,9 @@ TEST(Telemetry, RuntimeDirectivesAreObserved) {
   EXPECT_EQ(s.counter(Counter::kGompSingle), 4u);   // entry per thread
   EXPECT_EQ(s.counter(Counter::kGompCritical), 4u);
   EXPECT_EQ(s.counter(Counter::kGompReduction), 4u);
-  // for (barrier) + explicit + single + 2x reduce + implicit, per thread.
-  EXPECT_GE(s.counter(Counter::kGompBarrier), 4u * 5u);
+  // for (barrier) + explicit + single + reduce (one barrier), per thread;
+  // the region's join is not a team barrier.
+  EXPECT_EQ(s.counter(Counter::kGompBarrier), 4u * 4u);
   EXPECT_EQ(s.hist(Hist::kGompParallelNs).count, 1u);
   EXPECT_GE(s.hist(Hist::kGompBarrierWaitCentralNs).count,
             s.counter(Counter::kGompBarrier));
