@@ -60,6 +60,12 @@ echo "loop claims and hot teams (20 repeats): clean under TSan"
 ./build-tsan/tests/gomp/gomp_test --gtest_filter='*Reduc*:*Critical*' \
   --gtest_repeat=20 >/dev/null
 echo "mutex, reductions and criticals (20 repeats): clean under TSan"
+# The GOMP ABI entries: two masters forking through GOMP_parallel at once
+# (racing to create the published compat runtime), and GOMP_parallel
+# nested inside another runtime's region.  Repeated for the same reason.
+./build-tsan/tests/gomp/gomp_test --gtest_filter='*Compat*' \
+  --gtest_repeat=20 >/dev/null
+echo "GOMP ABI entries (20 repeats): clean under TSan"
 
 echo "== [3/13] ASan+UBSan, all suites =="
 cmake -B build-asan -S . -DOMPMCA_WERROR=ON -DOMPMCA_ASAN=ON

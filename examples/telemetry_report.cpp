@@ -4,8 +4,7 @@
 // loop, a few explicit barriers and a contended critical) under both the
 // stock runtime and the MCA-backed runtime with telemetry force-enabled,
 // then prints the merged JSON report: per-directive entry counts and wall
-// time, barrier wait-time histograms, MRAPI mutex/arena/node counters and
-// the modelled board's per-cluster placement decisions.
+// time, barrier wait-time histograms and MRAPI mutex/arena/node counters.
 //
 // The same report is available from any binary in the repo via
 //   OMPMCA_TELEMETRY=json ./build/bench/table1_epcc_overhead --quick
@@ -16,7 +15,6 @@
 
 #include "gomp/gomp.hpp"
 #include "obs/telemetry.hpp"
-#include "platform/cost_model.hpp"
 
 using namespace ompmca;
 
@@ -59,14 +57,6 @@ int main() {
     opts.icvs = icvs;
     gomp::Runtime rt(opts);
     run_workload(rt);
-  }
-
-  // Exercise the placement machinery so the per-cluster section is live.
-  const platform::Topology board = platform::Topology::t4240rdb();
-  for (unsigned n : {4u, 12u, 24u}) {
-    platform::TeamShape shape(board, n);
-    std::printf("  team of %2u spans %u cluster(s)\n", n,
-                shape.clusters_spanned());
   }
 
   std::printf("\nmerged telemetry report:\n\n");

@@ -11,6 +11,7 @@
 #include "common/annotations.hpp"
 #include "common/locks.hpp"
 #include "common/env.hpp"
+#include "obs/event.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 
@@ -102,11 +103,7 @@ Global& global() {
 std::atomic<bool> g_enabled{false};
 std::atomic<bool> g_abort{false};
 
-void append_u64(std::string& s, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  s += buf;
-}
+using obs::append_u64;
 
 std::string describe(LockClass cls, std::uint64_t key) {
   std::string s(name(cls));
@@ -131,12 +128,8 @@ bool record_locked(Global& g, std::string signature, Violation v) {
                describe(v.lock_class, v.key).c_str(), v.site.c_str());
   // Attach the event history: the flight record shows the acquisitions that
   // led here (the tracer takes no lock that can point back at g.mu).
-  obs::trace::instant(obs::trace::Type::kCheckViolation,
-                      static_cast<std::uint64_t>(v.kind));
-  if (obs::trace::enabled()) {
-    std::string reason = "check:" + std::string(name(v.kind));
-    obs::trace::dump_flight_record(reason.c_str());
-  }
+  obs::emit(obs::Event::kCheckViolation, static_cast<std::uint64_t>(v.kind));
+  obs::trace::dump_flight_record("check:" + std::string(name(v.kind)));
   g.violations.push_back(std::move(v));
   if (g_abort.load(std::memory_order_relaxed)) {
     std::fprintf(stderr, "[OMPMCA_CHECK] OMPMCA_CHECK_ABORT=1, aborting\n");
@@ -347,8 +340,8 @@ void on_acquire(LockClass cls, const void* obj, std::uint64_t key_hint,
     held.node = node_id(cls, true, info.key);
     // Recorded before the edge scan so a violation's flight record already
     // contains the offending acquisition.
-    obs::trace::instant(obs::trace::Type::kLockAcquire,
-                        static_cast<std::uint64_t>(cls), held.key);
+    obs::emit(obs::Event::kLockAcquire, static_cast<std::uint64_t>(cls),
+              held.key);
 
     // One edge from every currently-held lock to the new one.
     for (const HeldLock& h : ts.held) {

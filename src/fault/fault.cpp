@@ -12,6 +12,7 @@
 #include "common/locks.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
+#include "obs/event.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 
@@ -194,8 +195,7 @@ bool should_fail(Site site) {
   if (!fire && s.cfg.rate > 0.0) fire = s.rng.next_double() < s.cfg.rate;
   if (fire) {
     ++s.stats.injected;
-    obs::trace::instant(obs::trace::Type::kFaultInject,
-                        static_cast<std::uint64_t>(site));
+    obs::emit(obs::Event::kFaultInject, static_cast<std::uint64_t>(site));
   }
   return fire;
 }
@@ -204,24 +204,19 @@ void note_recovered(Site site, std::uint64_t n) {
   Global& g = global();
   MutexLock lk(g.mu);
   g.sites[static_cast<unsigned>(site)].stats.recovered += n;
-  obs::trace::instant(obs::trace::Type::kFaultRecover,
-                      static_cast<std::uint64_t>(site));
+  obs::emit(obs::Event::kFaultRecover, static_cast<std::uint64_t>(site));
 }
 
 void note_exhausted(Site site, std::uint64_t n) {
   Global& g = global();
   MutexLock lk(g.mu);
   g.sites[static_cast<unsigned>(site)].stats.exhausted += n;
-  obs::trace::instant(obs::trace::Type::kFaultExhaust,
-                      static_cast<std::uint64_t>(site));
-  if (obs::trace::enabled()) {
-    // Retry exhaustion is the degradation moment worth a crash record: the
-    // caller is about to surface the failure.
-    std::string reason =
-        "fault-exhausted:" +
-        std::string(kSiteNames[static_cast<unsigned>(site)]);
-    obs::trace::dump_flight_record(reason.c_str());
-  }
+  obs::emit(obs::Event::kFaultExhaust, static_cast<std::uint64_t>(site));
+  // Retry exhaustion is the degradation moment worth a crash record: the
+  // caller is about to surface the failure.
+  obs::trace::dump_flight_record(
+      "fault-exhausted:" +
+      std::string(kSiteNames[static_cast<unsigned>(site)]));
 }
 
 Counts counts(Site site) {
@@ -244,12 +239,7 @@ Counts totals() {
 
 namespace {
 
-void append_u64(std::string& s, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(v));
-  s += buf;
-}
+using obs::append_u64;
 
 void append_json_escaped(std::string& s, std::string_view v) {
   for (char c : v) {

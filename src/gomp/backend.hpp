@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string_view>
 
 #include "common/status.hpp"
@@ -58,6 +59,8 @@ class SystemBackend {
 class BackendLockGuard {
  public:
   explicit BackendLockGuard(BackendMutex& m) : m_(m) { m_.lock(); }
+  /// Adopts a mutex the caller already locked.
+  BackendLockGuard(BackendMutex& m, std::adopt_lock_t) : m_(m) {}
   ~BackendLockGuard() { m_.unlock(); }
   BackendLockGuard(const BackendLockGuard&) = delete;
   BackendLockGuard& operator=(const BackendLockGuard&) = delete;

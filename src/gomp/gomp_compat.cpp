@@ -1,5 +1,6 @@
 #include "gomp/gomp_compat.hpp"
 
+#include <atomic>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -15,10 +16,14 @@ namespace ompmca::gomp::compat {
 
 namespace {
 
+// g_mu guards creation, configuration and reset only; the steady state
+// reads the runtime through g_published (one acquire load).
 CapMutex g_mu;
 std::unique_ptr<Runtime> g_runtime OMPMCA_GUARDED_BY(g_mu);
 RuntimeOptions g_options OMPMCA_GUARDED_BY(g_mu);
 bool g_configured OMPMCA_GUARDED_BY(g_mu) = false;
+// g_runtime.get() once created, nullptr before and after a reset.
+std::atomic<Runtime*> g_published{nullptr};
 
 Runtime& runtime_locked() OMPMCA_REQUIRES(g_mu) {
   if (g_runtime == nullptr) {
@@ -29,6 +34,9 @@ Runtime& runtime_locked() OMPMCA_REQUIRES(g_mu) {
       }
     }
     g_runtime = std::make_unique<Runtime>(std::move(opts));
+    // release: pairs with gomp_compat_runtime()'s acquire load — a reader
+    // that sees the pointer sees the constructed runtime.
+    g_published.store(g_runtime.get(), std::memory_order_release);
   }
   return *g_runtime;
 }
@@ -39,11 +47,12 @@ ParallelContext& current_ctx() {
   return *ctx;
 }
 
-/// The runtime a critical entry locks in: inside a region, the calling
-/// thread's own (no process-wide lock on the per-call path); outside one,
-/// the compat runtime.  The mutex itself is not cached in the ABI's name
-/// slot: gomp_compat_reset() would leave that pointer dangling.
-Runtime& critical_runtime() {
+/// The runtime an ABI entry acts on: inside a region, the calling thread's
+/// own, so a GOMP_parallel there nests in the enclosing team and the ICV
+/// entries read its data environment; outside one, the compat runtime.
+/// Critical mutexes are not cached in the ABI's name slot:
+/// gomp_compat_reset() would leave that pointer dangling.
+Runtime& entry_runtime() {
   if (ParallelContext* ctx = Runtime::current()) return ctx->runtime();
   return gomp_compat_runtime();
 }
@@ -112,6 +121,7 @@ void gomp_compat_configure(RuntimeOptions options) {
 }
 
 Runtime& gomp_compat_runtime() {
+  if (Runtime* rt = g_published.load(std::memory_order_acquire)) return *rt;
   MutexLock lk(g_mu);
   return runtime_locked();
 }
@@ -125,6 +135,7 @@ bool gomp_compat_reset() {
     // masters drain.
     return false;
   }
+  g_published.store(nullptr, std::memory_order_relaxed);
   g_runtime.reset();
   g_configured = false;
   g_options = RuntimeOptions{};
@@ -132,26 +143,26 @@ bool gomp_compat_reset() {
 }
 
 void GOMP_parallel(void (*fn)(void*), void* data, unsigned num_threads) {
-  gomp_compat_runtime().parallel(
-      [fn, data](ParallelContext&) { fn(data); }, num_threads);
+  entry_runtime().parallel([fn, data](ParallelContext&) { fn(data); },
+                           num_threads);
 }
 
 void GOMP_barrier() { current_ctx().barrier(); }
 
 void GOMP_critical_start() {
-  critical_runtime().unnamed_critical_mutex().lock();
+  entry_runtime().unnamed_critical_mutex().lock();
 }
 
 void GOMP_critical_end() {
-  critical_runtime().unnamed_critical_mutex().unlock();
+  entry_runtime().unnamed_critical_mutex().unlock();
 }
 
 void GOMP_critical_name_start(void** pptr) {
-  critical_runtime().critical_mutex(CriticalName(pptr).view()).lock();
+  entry_runtime().critical_mutex(CriticalName(pptr).view()).lock();
 }
 
 void GOMP_critical_name_end(void** pptr) {
-  critical_runtime().critical_mutex(CriticalName(pptr).view()).unlock();
+  entry_runtime().critical_mutex(CriticalName(pptr).view()).unlock();
 }
 
 bool GOMP_single_start() { return current_ctx().single_begin(); }
@@ -195,21 +206,17 @@ void GOMP_loop_end_nowait() { current_ctx().loop_end(/*nowait=*/true); }
 int omp_get_thread_num() { return gomp::omp_get_thread_num(); }
 int omp_get_num_threads() { return gomp::omp_get_num_threads(); }
 int omp_get_max_threads() {
-  return gomp::omp_get_max_threads(gomp_compat_runtime());
+  return gomp::omp_get_max_threads(entry_runtime());
 }
-int omp_get_num_procs() {
-  return gomp::omp_get_num_procs(gomp_compat_runtime());
-}
+int omp_get_num_procs() { return gomp::omp_get_num_procs(entry_runtime()); }
 int omp_in_parallel() { return gomp::omp_in_parallel() ? 1 : 0; }
 void omp_set_num_threads(int n) {
-  gomp::omp_set_num_threads(gomp_compat_runtime(), n);
+  gomp::omp_set_num_threads(entry_runtime(), n);
 }
 void omp_set_nested(int nested) {
-  gomp::omp_set_nested(gomp_compat_runtime(), nested != 0);
+  gomp::omp_set_nested(entry_runtime(), nested != 0);
 }
-int omp_get_nested() {
-  return gomp::omp_get_nested(gomp_compat_runtime()) ? 1 : 0;
-}
+int omp_get_nested() { return gomp::omp_get_nested(entry_runtime()) ? 1 : 0; }
 double omp_get_wtime() { return gomp::omp_get_wtime(); }
 
 }  // namespace ompmca::gomp::compat

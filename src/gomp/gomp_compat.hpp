@@ -23,7 +23,9 @@ namespace ompmca::gomp::compat {
 /// called before any GOMP_* entry (or not at all, for env-driven setup).
 void gomp_compat_configure(RuntimeOptions options);
 
-/// The shim's runtime (created on demand).
+/// The shim's runtime (created on demand, then read with one acquire load).
+/// Entries called from inside a region act on that region's runtime
+/// instead, so a GOMP_parallel there nests in the enclosing team.
 Runtime& gomp_compat_runtime();
 
 /// Tears the default runtime down (tests; not part of the real ABI).

@@ -13,8 +13,7 @@
 #include "common/spin.hpp"
 #include "common/time.hpp"
 #include "fault/fault.hpp"
-#include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
+#include "obs/event.hpp"
 
 namespace ompmca::gomp {
 
@@ -153,18 +152,12 @@ void ThreadPool::worker_loop(Bell& bell, std::uint64_t seen) {
     const std::uint64_t team_spin_ns = slot.spin_ns;
     const bool hot = idle_since != 0 && now - idle_since <= team_spin_ns;
     if (slot.dispatch_start_ns != 0) {
-      // dispatch_start_ns is armed by start_team when telemetry or tracing
-      // is on; both consumers reuse the wake timestamp above.
-      if (obs::enabled()) {
-        const std::uint64_t wake_ns = now - slot.dispatch_start_ns;
-        obs::count(obs::Counter::kGompPoolDispatch);
-        obs::record(obs::Hist::kGompDoorbellWakeNs, wake_ns);
-        obs::record(obs::Hist::kGompPoolDispatchNs, wake_ns);
-      }
-      // Flow-arrow target: fork_ring (master) -> worker_wake, keyed by the
+      // dispatch_start_ns is armed by start_team when a sink of the wake is
+      // on; the wake reuses the timestamp above.  Its trace instant is the
+      // flow-arrow target fork_ring (master) -> worker_wake, keyed by the
       // global dispatch sequence the mailbox word carries.
-      obs::trace::instant_at(obs::trace::Type::kWorkerWake, now,
-                             assign_seq(a));
+      obs::emit_at(obs::Event::kWorkerWake, slot.dispatch_start_ns, now,
+                   assign_seq(a));
     }
     // Heartbeat parity for the stall watchdog: capture armed() once so both
     // bumps happen or neither — a monitor started or stopped mid-region
@@ -172,8 +165,7 @@ void ThreadPool::worker_loop(Bell& bell, std::uint64_t seen) {
     const bool hb = obs::monitor::armed();
     if (hb) bell.heartbeat.fetch_add(1, std::memory_order_relaxed);
     {
-      obs::trace::Span work_span(obs::trace::Type::kWorkerWork,
-                                 assign_seq(a));
+      obs::Scope work(obs::Event::kWorkerWork, assign_seq(a));
       slot.work(tid);
     }
     if (hb) bell.heartbeat.fetch_add(1, std::memory_order_relaxed);
@@ -245,19 +237,17 @@ std::uint64_t ThreadPool::lease_workers(unsigned wanted) {
     // past its spin threshold, which is exactly what lets the peer finish
     // on an oversubscribed host.
     const std::uint64_t t0 = monotonic_nanos();
+    std::uint64_t now = t0;
     Backoff backoff;
     do {
       backoff.pause();
       lease |= try_lease(wanted - got);
       got = popcount64(lease);
-    } while (got < wanted && monotonic_nanos() - t0 < lease_wait_ns_);
-    if (obs::enabled()) {
-      const std::uint64_t waited = monotonic_nanos() - t0;
-      obs::record(obs::Hist::kGompLeaseWaitNs, waited);
-      obs::tenant::add_lease_wait(waited);  // attributed to this master
-    }
+      now = monotonic_nanos();
+    } while (got < wanted && now - t0 < lease_wait_ns_);
+    obs::emit_at(obs::Event::kLeaseWait, t0, now);  // this master's tenant
   }
-  if (got < wanted) obs::count(obs::Counter::kGompLeaseDegraded);
+  if (got < wanted) obs::emit(obs::Event::kLeaseDegraded);
   return lease;
 }
 
@@ -283,7 +273,7 @@ std::uint64_t ThreadPool::ensure_launched(std::uint64_t lease) {
     if (!ok(s)) {
       OMPMCA_LOG_ERROR("pool: failed to launch worker %u: %s", index,
                        std::string(to_string(s)).c_str());
-      obs::count(obs::Counter::kGompTeamDegraded);
+      obs::emit(obs::Event::kTeamDegraded);
       lease &= ~(std::uint64_t{1} << index);
       release_lease(std::uint64_t{1} << index);
       continue;
@@ -311,7 +301,7 @@ unsigned ThreadPool::prepare(Dispatch& d, unsigned nthreads,
   if (slot < 0) {
     // All kMaxSlots regions already in flight: degrade this tenant to a
     // serialized region rather than block it on a stranger's join.
-    obs::count(obs::Counter::kGompLeaseDegraded);
+    obs::emit(obs::Event::kLeaseDegraded);
     return 1;
   }
   d.slot_ = slot;
@@ -319,7 +309,7 @@ unsigned ThreadPool::prepare(Dispatch& d, unsigned nthreads,
   // another master's is still running is exactly the state the old
   // single-slab pool corrupted.
   if (in_flight_.fetch_add(1, std::memory_order_relaxed) > 0) {
-    obs::count(obs::Counter::kGompTeamMultiplexed);
+    obs::emit(obs::Event::kTeamMultiplexed);
   }
 
   const unsigned extra = std::min(nthreads - 1, max_workers_);
@@ -355,7 +345,7 @@ void ThreadPool::start_team(Dispatch& d, unsigned nthreads,
   slot.work = fn;
   slot.seq = seq;
   slot.dispatch_start_ns =
-      (obs::enabled() || obs::trace::enabled()) ? monotonic_nanos() : 0;
+      obs::on(obs::Event::kWorkerWake) ? monotonic_nanos() : 0;
   slot.active.store(extra, std::memory_order_relaxed);
   slot.spin_ns = spin_window_ns(wait_policy_, nthreads);
   if (obs::monitor::armed()) {
@@ -391,8 +381,8 @@ void ThreadPool::start_team(Dispatch& d, unsigned nthreads,
   if (slot.dispatch_start_ns != 0 && extra > 0) {
     // The mailbox stores above ARE the doorbell ring; stamp them with the
     // same timestamp the wake-latency probes use so flow arrows line up.
-    obs::trace::instant_at(obs::trace::Type::kForkRing,
-                           slot.dispatch_start_ns, seq, extra + 1);
+    obs::emit_at(obs::Event::kForkRing, slot.dispatch_start_ns,
+                 slot.dispatch_start_ns, seq, extra + 1);
   }
   // Targeted ring: only the participants that actually sleep pay for a
   // wake — a worker still inside its spin window costs no syscall.
@@ -409,7 +399,7 @@ void ThreadPool::wait_team(Dispatch& d, FunctionRef<void()> on_joined) {
   DispatchSlot* slot =
       d.slot_ >= 0 ? &slots_[static_cast<unsigned>(d.slot_)] : nullptr;
   if (slot != nullptr && slot->active.load(std::memory_order_acquire) != 0) {
-    obs::trace::Span join_span(obs::trace::Type::kJoinWait, slot->seq);
+    obs::Scope join(obs::Event::kJoinWait, slot->seq);
     // The join is the region's end rendezvous: the workers' own region
     // tails (body imbalance, task drain) are what is outstanding.
     spin_then_park(slot->spin_ns, slot->done, [&] {

@@ -9,9 +9,7 @@
 #include "gomp/backend_mca.hpp"
 #include "gomp/backend_native.hpp"
 #include "mrapi/database.hpp"
-#include "obs/monitor.hpp"
-#include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
+#include "obs/event.hpp"
 
 namespace ompmca::gomp {
 
@@ -112,7 +110,6 @@ Runtime::Runtime(RuntimeOptions opts)
       backend_(make_backend(opts_)) {
   icvs_ = opts_.icvs ? *opts_.icvs : Icvs::from_env(backend_->num_procs());
   icvs_.num_threads = std::min(icvs_.num_threads, icvs_.thread_limit);
-  task_tuning_ = TaskTuning::from_env();
   pool_ = std::make_unique<ThreadPool>(*backend_, icvs_.wait_policy,
                                        opts_.pool_max_workers);
 }
@@ -233,16 +230,14 @@ ParallelContext* Runtime::current() { return t_current_; }
 
 void Runtime::parallel(FunctionRef<void(ParallelContext&)> body,
                        unsigned num_threads) {
-  obs::count(obs::Counter::kGompParallel);
-  obs::ScopedTimer region_timer(obs::Hist::kGompParallelNs);
-  obs::trace::Span region_span(obs::trace::Type::kParallel);
+  obs::Scope event(obs::Event::kParallel);
   // Marks this runtime busy for the whole region, so gomp_compat_reset()
   // can refuse to destroy it out from under a live team.
   RegionInFlight in_flight(regions_in_flight_);
   unsigned n = resolve_num_threads(num_threads);
   ParallelContext* outer = current();
   const bool nested = outer != nullptr;
-  region_span.set_args(n, nested ? 1 : 0);
+  event.set_args(n, nested ? 1 : 0);
   // A nested region is active only under nest-var, and no region is once
   // max-active-levels active regions enclose it.
   const unsigned enclosing_active = nested ? outer->team().active_level() : 0;
@@ -255,7 +250,7 @@ void Runtime::parallel(FunctionRef<void(ParallelContext&)> body,
     // Width-1 fast path: no doorbell ring, no pool join bookkeeping, and
     // the Team skips barrier construction entirely — a serialized region
     // costs a Team frame and nothing else.
-    if (!nested) obs::tenant::on_region(0, false);
+    if (!nested) obs::emit(obs::Event::kTenantRegion);
     Team team(*this, 1, outer);
     team.run_thread(0, body);
     team.finish();
@@ -268,8 +263,8 @@ void Runtime::parallel(FunctionRef<void(ParallelContext&)> body,
   // failures *and* lease/slot pressure, so the team (and its barrier) never
   // waits on a thread that does not exist.
   const unsigned requested = n;
-  const bool meter = !nested && obs::enabled();
-  const std::uint64_t fork_t0 = meter ? monotonic_nanos() : 0;
+  const std::uint64_t fork_t0 =
+      !nested && obs::on(obs::Event::kTenantRegion) ? monotonic_nanos() : 0;
   ThreadPool::Dispatch dispatch;
   n = pool_->prepare(dispatch, n, nested ? outer->level() + 1 : 1);
   // A top-level region runs on its slot's hot team when the width matches;
@@ -290,10 +285,11 @@ void Runtime::parallel(FunctionRef<void(ParallelContext&)> body,
   }
   auto thread_fn = [team, body](unsigned tid) { team->run_thread(tid, body); };
   pool_->start_team(dispatch, n, thread_fn);
-  if (meter) {
+  if (fork_t0 != 0) {
     // Tenant attribution: prepare-to-ring latency and whether lease
     // pressure or launch failures narrowed this master's team.
-    obs::tenant::on_region(monotonic_nanos() - fork_t0, n < requested);
+    obs::emit_at(obs::Event::kTenantRegion, fork_t0, monotonic_nanos(),
+                 n < requested ? 1 : 0);
   }
   thread_fn(0);
   // Finish before the slot is released: from then on a hot team belongs

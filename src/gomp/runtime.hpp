@@ -70,8 +70,6 @@ class Runtime {
   const Icvs& icvs() const { return icvs_; }
   const platform::Topology& topology() const { return opts_.topology; }
   ThreadPool& pool() { return *pool_; }
-  /// Task-scheduler knobs, parsed once at construction.
-  const TaskTuning& task_tuning() const { return task_tuning_; }
 
   unsigned max_threads() const { return env_icvs().num_threads; }
 
@@ -151,7 +149,6 @@ class Runtime {
       OMPMCA_GUARDED_BY(critical_mu_);
   // criticals_[""], published once it exists (owned by the map).
   std::atomic<BackendMutex*> unnamed_critical_{nullptr};
-  TaskTuning task_tuning_;
 
   /// The calling thread's meter slot for this runtime (Team::finish writes
   /// the finished region's meters here).

@@ -4,13 +4,16 @@
 #include <chrono>
 #include <thread>
 
-#include "common/env.hpp"
-#include "common/time.hpp"
 #include "fault/fault.hpp"
-#include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
+#include "obs/event.hpp"
 
 namespace ompmca::gomp {
+
+/// Idle polls (each a yield) a waiter makes before parking on the epoch.
+constexpr long kIdleSpins = 100;
+/// Adaptive taskloop grain: chunk tasks aimed per team thread, net of the
+/// queued backlog.
+constexpr long kTaskloopTasksPerThread = 8;
 
 TaskSystem::TaskSystem() { configure(1); }
 
@@ -36,20 +39,8 @@ void TaskSystem::reset() {
   clear_dep_table();
 }
 
-TaskTuning TaskTuning::from_env() {
-  TaskTuning t;
-  t.spin = env_long_clamped("OMPMCA_TASK_SPIN", 0, 1'000'000).value_or(t.spin);
-  t.taskloop_grain = env_long_clamped("OMPMCA_TASKLOOP_GRAIN", 0, 1L << 30)
-                         .value_or(t.taskloop_grain);
-  t.taskloop_tasks_per_thread =
-      env_long_clamped("OMPMCA_TASKLOOP_TASKS_PER_THREAD", 1, 4096)
-          .value_or(t.taskloop_tasks_per_thread);
-  return t;
-}
-
-void TaskSystem::configure(unsigned nthreads, const TaskTuning& tuning) {
+void TaskSystem::configure(unsigned nthreads) {
   nthreads_ = nthreads > 0 ? nthreads : 1;
-  tuning_ = tuning;
   deques_.clear();
   deques_.reserve(nthreads_);
   for (unsigned i = 0; i < nthreads_; ++i) {
@@ -83,8 +74,7 @@ Task* TaskSystem::allocate() {
 void TaskSystem::enqueue(unsigned tid, Task* task) {
   TaskDeque& d = *deques_[tid];
   d.push(task);
-  obs::gauge_max(obs::Gauge::kGompTaskQueueDepthHwm,
-                 static_cast<std::uint64_t>(d.size()));
+  obs::emit(obs::Event::kTaskEnqueue, static_cast<std::uint64_t>(d.size()));
   bump_progress();
 }
 
@@ -96,7 +86,7 @@ void TaskSystem::spawn(unsigned tid, Task* parent, std::function<void()> fn) {
     // it spawns attach to @p parent directly (they become siblings), which
     // is strictly stronger synchronisation — taskwait and taskgroup still
     // cover them — without the record the injected failure denied us.
-    obs::count(obs::Counter::kGompTaskSpawned);
+    obs::emit(obs::Event::kTaskSpawn, tid);
     fn();
     return;
   }
@@ -114,11 +104,8 @@ void TaskSystem::spawn(unsigned tid, Task* parent, std::function<void()> fn) {
   if (group != nullptr) {
     group->live_tasks.fetch_add(1, std::memory_order_seq_cst);  // seq_cst: ditto
   }
-  obs::count(obs::Counter::kGompTaskSpawned);
-  if (obs::trace::verbose()) {
-    obs::trace::instant(obs::trace::Type::kTaskSpawn, tid,
-                        static_cast<std::uint64_t>(deques_[tid]->size()));
-  }
+  obs::emit(obs::Event::kTaskSpawn, tid,
+            static_cast<std::uint64_t>(deques_[tid]->size()));
   enqueue(tid, task);
 }
 
@@ -171,13 +158,13 @@ void TaskSystem::spawn_depend(unsigned tid, Task* parent,
         idle = 0;
         continue;
       }
-      if (++idle <= tuning_.spin) {
+      if (++idle <= kIdleSpins) {
         std::this_thread::yield();
         continue;
       }
       park(e);
     }
-    obs::count(obs::Counter::kGompTaskSpawned);
+    obs::emit(obs::Event::kTaskSpawn, tid);
     fn();
     return;
   }
@@ -194,10 +181,7 @@ void TaskSystem::spawn_depend(unsigned tid, Task* parent,
   if (group != nullptr) {
     group->live_tasks.fetch_add(1, std::memory_order_seq_cst);  // seq_cst: ditto
   }
-  obs::count(obs::Counter::kGompTaskSpawned);
-  if (obs::trace::verbose()) {
-    obs::trace::instant(obs::trace::Type::kTaskSpawn, tid, 1);
-  }
+  obs::emit(obs::Event::kTaskSpawn, tid, 1);
   {
     MutexLock lk(deps_mu_);
     unsigned preds = 0;
@@ -245,17 +229,17 @@ void TaskSystem::taskloop(unsigned tid, Task** current_slot, long begin,
     return;
   }
   const long n = end - begin;
-  long g = grain > 0 ? grain : tuning_.taskloop_grain;
+  long g = grain;
   if (g <= 0) {
-    // Adaptive grain from the queue-depth signal: aim for tasks_per_thread
+    // Adaptive grain from the queue-depth signal: aim for a fixed number of
     // chunks per worker, minus the backlog already queued.
     const long target_total =
-        tuning_.taskloop_tasks_per_thread * static_cast<long>(nthreads_);
+        kTaskloopTasksPerThread * static_cast<long>(nthreads_);
     const long backlog = static_cast<long>(queued());
     const long target = std::max<long>(1, target_total - backlog);
     g = std::max<long>(1, (n + target - 1) / target);
   }
-  obs::count(obs::Counter::kGompTaskloop);
+  obs::emit(obs::Event::kTaskloop);
   // The spec's implicit taskgroup: taskloop end waits for every chunk (and
   // their descendants).  Chunk bodies reference @p body and the scope's
   // TaskGroup — the RAII wait guarantees this frame outlives them even
@@ -280,10 +264,7 @@ Task* TaskSystem::take(unsigned tid, bool* stolen) {
       bool lost_race = false;
       Task* s = deques_[v]->steal(&lost_race);
       if (s != nullptr) {
-        obs::count(obs::Counter::kGompTaskStolen);
-        if (obs::trace::verbose()) {
-          obs::trace::instant(obs::trace::Type::kTaskSteal, v);
-        }
+        obs::emit(obs::Event::kTaskSteal, v);
         *stolen = true;
         return s;
       }
@@ -322,13 +303,8 @@ bool TaskSystem::run_one(unsigned tid, Task** current_slot) {
     }
   } bookkeeping{this, tid, current_slot, *current_slot, task};
   *current_slot = task;
-  if (obs::trace::verbose()) {
-    const std::uint64_t t0 = monotonic_nanos();
-    task->fn();
-    obs::trace::complete(obs::trace::Type::kTaskRun, t0, stolen ? 1 : 0);
-  } else {
-    task->fn();
-  }
+  obs::Scope run(obs::Event::kTaskRun, stolen ? 1 : 0);
+  task->fn();
   return true;
 }
 
@@ -419,7 +395,7 @@ void TaskSystem::taskwait(unsigned tid, Task** current_slot) {
     }
     // seq_cst: see loop header.
     if (waiting_on->live_children.load(std::memory_order_seq_cst) == 0) break;
-    if (++idle <= tuning_.spin) {
+    if (++idle <= kIdleSpins) {
       std::this_thread::yield();
       continue;
     }
@@ -439,7 +415,7 @@ void TaskSystem::group_wait(unsigned tid, TaskGroup* group,
     }
     // seq_cst: see loop header.
     if (group->live_tasks.load(std::memory_order_seq_cst) == 0) break;
-    if (++idle <= tuning_.spin) {
+    if (++idle <= kIdleSpins) {
       std::this_thread::yield();
       continue;
     }
@@ -471,7 +447,7 @@ void TaskSystem::drain(unsigned tid, Task** current_slot) {
         progress_.load(std::memory_order_seq_cst) == e) {
       return;
     }
-    if (++idle <= tuning_.spin) {
+    if (++idle <= kIdleSpins) {
       std::this_thread::yield();
       continue;
     }

@@ -69,16 +69,6 @@ struct Task {
   }
 };
 
-/// Task-scheduler knobs, read from the environment once per Runtime (not
-/// per team: a fork must not pay for getenv).
-struct TaskTuning {
-  long spin = 100;           // OMPMCA_TASK_SPIN: idle spins before parking
-  long taskloop_grain = 0;   // OMPMCA_TASKLOOP_GRAIN: fixed grain, 0=adaptive
-  long taskloop_tasks_per_thread = 8;  // OMPMCA_TASKLOOP_TASKS_PER_THREAD
-
-  static TaskTuning from_env();
-};
-
 class TaskSystem {
  public:
   TaskSystem();
@@ -87,9 +77,9 @@ class TaskSystem {
   TaskSystem(const TaskSystem&) = delete;
   TaskSystem& operator=(const TaskSystem&) = delete;
 
-  /// Sizes the per-worker deques and adopts the runtime's @p tuning.  Call
-  /// before any spawn, from single-threaded context (Team construction).
-  void configure(unsigned nthreads, const TaskTuning& tuning = {});
+  /// Sizes the per-worker deques.  Call before any spawn, from
+  /// single-threaded context (Team construction).
+  void configure(unsigned nthreads);
 
   /// Returns a quiescent task system (a finished region's) to its fresh
   /// state for a reused team: the progress epoch back to zero, so the
@@ -119,9 +109,9 @@ class TaskSystem {
 
   /// Divides [begin, end) into grain-sized chunk tasks and waits for all
   /// of them (an implicit taskgroup, per the spec).  grain <= 0 selects
-  /// the adaptive policy: target OMPMCA_TASKLOOP_TASKS_PER_THREAD tasks
-  /// per worker, shrunk by the current queue backlog (the telemetry
-  /// queue-depth signal) — deep queues mean more tasks help nobody.
+  /// the adaptive policy: target a fixed number of tasks per worker (8),
+  /// shrunk by the current queue backlog — deep queues mean more tasks
+  /// help nobody.
   void taskloop(unsigned tid, Task** current_slot, long begin, long end,
                 long grain, const std::function<void(long, long)>& body);
 
@@ -188,8 +178,6 @@ class TaskSystem {
   CapMutex deps_mu_;
   std::unordered_map<const void*, DepAddr> dep_table_
       OMPMCA_GUARDED_BY(deps_mu_);
-
-  TaskTuning tuning_;
 };
 
 /// RAII for a taskgroup-shaped region (taskgroup construct, taskloop's

@@ -6,10 +6,8 @@
 
 #include "check/check.hpp"
 #include "common/log.hpp"
-#include "common/time.hpp"
 #include "gomp/runtime.hpp"
-#include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
+#include "obs/event.hpp"
 
 namespace ompmca::gomp {
 
@@ -34,19 +32,6 @@ namespace {
   std::abort();
 }
 
-/// Unlocks a BackendMutex the caller already holds (the telemetry path
-/// acquires with try_lock-then-lock so it can count contention).
-class AdoptedBackendLock {
- public:
-  explicit AdoptedBackendLock(BackendMutex& m) : m_(m) {}
-  ~AdoptedBackendLock() { m_.unlock(); }
-  AdoptedBackendLock(const AdoptedBackendLock&) = delete;
-  AdoptedBackendLock& operator=(const AdoptedBackendLock&) = delete;
-
- private:
-  BackendMutex& m_;
-};
-
 }  // namespace
 
 Team::Team(Runtime& rt, unsigned nthreads, ParallelContext* parent_ctx)
@@ -62,7 +47,7 @@ Team::Team(Runtime& rt, unsigned nthreads, ParallelContext* parent_ctx)
       barrier_(nthreads, rt.icvs().wait_policy),
       meters_(nthreads),
       reduce_slots_(nthreads) {
-  tasks_.configure(nthreads_, rt.task_tuning());
+  tasks_.configure(nthreads_);
 }
 
 void Team::run_thread(unsigned tid, FunctionRef<void(ParallelContext&)> body) {
@@ -152,24 +137,11 @@ void ParallelContext::barrier_impl(FunctionRef<void()> combine) {
     if constexpr (kCombine) combine();
     return;
   }
-  auto arrive = [&] {
-    if constexpr (kCombine) {
-      team_->barrier_.arrive_and_wait(combine);
-    } else {
-      team_->barrier_.arrive_and_wait();
-    }
-  };
-  if (obs::enabled() || obs::trace::enabled()) {
-    obs::count(obs::Counter::kGompBarrier);
-    const std::uint64_t t0 = monotonic_nanos();
-    arrive();
-    if (obs::enabled()) {
-      obs::record(obs::Hist::kGompBarrierWaitCentralNs,
-                  monotonic_nanos() - t0);
-    }
-    obs::trace::complete(obs::trace::Type::kBarrier, t0, team_->nthreads_);
+  obs::Scope event(obs::Event::kBarrier, team_->nthreads_);
+  if constexpr (kCombine) {
+    team_->barrier_.arrive_and_wait(combine);
   } else {
-    arrive();
+    team_->barrier_.arrive_and_wait();
   }
 }
 
@@ -200,12 +172,8 @@ bool ParallelContext::next_static_chunk(const StaticLoop& loop, long* pos,
     return false;
   }
   ++*pos;
-  // Per-chunk events are full-mode only, as for shared loops.
-  if (obs::trace::verbose()) {
-    obs::trace::instant(obs::trace::Type::kLoopChunk,
-                        static_cast<std::uint64_t>(*lo),
-                        static_cast<std::uint64_t>(*hi));
-  }
+  obs::emit(obs::Event::kLoopChunk, static_cast<std::uint64_t>(*lo),
+            static_cast<std::uint64_t>(*hi));
   return true;
 }
 
@@ -220,11 +188,8 @@ LoopInstance& ParallelContext::enter_shared_loop(long begin, long end,
 void ParallelContext::for_loop(long begin, long end,
                                FunctionRef<void(long, long)> body,
                                ScheduleSpec spec, bool nowait) {
-  obs::count(obs::Counter::kGompFor);
-  obs::ScopedTimer timer(obs::Hist::kGompForNs);
   spec = resolve_schedule(spec);
-  obs::trace::Span span(obs::trace::Type::kFor,
-                        static_cast<std::uint64_t>(spec.kind));
+  obs::Scope event(obs::Event::kFor, static_cast<std::uint64_t>(spec.kind));
   long pos = 0;
   long lo = 0;
   long hi = 0;
@@ -246,11 +211,8 @@ void ParallelContext::for_loop(long begin, long end,
 void ParallelContext::for_loop_ordered(long begin, long end,
                                        FunctionRef<void(long, long)> body,
                                        ScheduleSpec spec) {
-  obs::count(obs::Counter::kGompFor);
-  obs::ScopedTimer timer(obs::Hist::kGompForNs);
   spec = resolve_schedule(spec);
-  obs::trace::Span span(obs::trace::Type::kFor,
-                        static_cast<std::uint64_t>(spec.kind));
+  obs::Scope event(obs::Event::kFor, static_cast<std::uint64_t>(spec.kind));
   // Ordered loops keep the descriptor whatever the schedule: it carries
   // the team's next-iteration turn.
   LoopInstance& loop = enter_shared_loop(begin, end, spec);
@@ -272,10 +234,8 @@ void ParallelContext::for_loop_ordered(long begin, long end,
 void ParallelContext::for_loop_simd(long begin, long end,
                                     FunctionRef<void(long, long)> body,
                                     long simd_width, bool nowait) {
-  obs::count(obs::Counter::kGompFor);
-  obs::ScopedTimer timer(obs::Hist::kGompForNs);
-  obs::trace::Span span(obs::trace::Type::kFor,
-                        static_cast<std::uint64_t>(Schedule::kStatic));
+  obs::Scope event(obs::Event::kFor,
+                   static_cast<std::uint64_t>(Schedule::kStatic));
   if (simd_width < 1) simd_width = 1;
   OMPMCA_CHECK_REGION_ENTER(check::Region::kWorkshare, team_);
   const long total = end - begin;
@@ -365,9 +325,7 @@ bool ParallelContext::single_begin() {
 }
 
 void ParallelContext::single(FunctionRef<void()> fn, bool nowait) {
-  obs::count(obs::Counter::kGompSingle);
-  obs::ScopedTimer timer(obs::Hist::kGompSingleNs);
-  obs::trace::Span span(obs::trace::Type::kSingle);
+  obs::Scope event(obs::Event::kSingle);
   if (single_begin()) {
     OMPMCA_CHECK_REGION_ENTER(check::Region::kSingle, team_);
     fn();
@@ -392,32 +350,23 @@ void ParallelContext::critical(std::string_view name,
 void ParallelContext::run_critical(BackendMutex& mu,
                                    [[maybe_unused]] std::string_view name,
                                    FunctionRef<void()> fn) {
-  obs::trace::Span span(obs::trace::Type::kCritical);  // acquire + body
-  if (obs::enabled()) {
-    obs::count(obs::Counter::kGompCritical);
-    obs::ScopedTimer timer(obs::Hist::kGompCriticalNs);
-    // try_lock first so a blocked acquisition is observable as contention;
-    // a no-op (seeded-broken) mutex never blocks and counts zero here.
-    if (!mu.try_lock()) {
-      obs::count(obs::Counter::kGompCriticalContended);
-      mu.lock();
-    }
-    OMPMCA_CHECK_ACQUIRE(check::LockClass::kGompCritical, &mu,
-                         critical_key(name));
-    AdoptedBackendLock guard(mu);
-    OMPMCA_CHECK_REGION_ENTER(check::Region::kCritical, team_);
-    fn();
-    OMPMCA_CHECK_REGION_EXIT(check::Region::kCritical, team_);
-    OMPMCA_CHECK_RELEASE(check::LockClass::kGompCritical, &mu);
-  } else {
-    BackendLockGuard guard(mu);
-    OMPMCA_CHECK_ACQUIRE(check::LockClass::kGompCritical, &mu,
-                         critical_key(name));
-    OMPMCA_CHECK_REGION_ENTER(check::Region::kCritical, team_);
-    fn();
-    OMPMCA_CHECK_REGION_EXIT(check::Region::kCritical, team_);
-    OMPMCA_CHECK_RELEASE(check::LockClass::kGompCritical, &mu);
+  obs::Scope event(obs::Event::kCritical);  // acquire + body
+  // Counting contention takes a try_lock first; with nothing counting, a
+  // contended critical goes straight to lock().
+  const bool counting = obs::on(obs::Event::kCriticalContended);
+  if (counting && !mu.try_lock()) {
+    obs::emit(obs::Event::kCriticalContended);
+    mu.lock();
+  } else if (!counting) {
+    mu.lock();
   }
+  BackendLockGuard guard(mu, std::adopt_lock);
+  OMPMCA_CHECK_ACQUIRE(check::LockClass::kGompCritical, &mu,
+                       critical_key(name));
+  OMPMCA_CHECK_REGION_ENTER(check::Region::kCritical, team_);
+  fn();
+  OMPMCA_CHECK_REGION_EXIT(check::Region::kCritical, team_);
+  OMPMCA_CHECK_RELEASE(check::LockClass::kGompCritical, &mu);
 }
 
 void ParallelContext::task(std::function<void()> fn) {

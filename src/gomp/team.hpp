@@ -34,7 +34,7 @@
 #include "gomp/icv.hpp"
 #include "gomp/task.hpp"
 #include "gomp/workshare.hpp"
-#include "obs/telemetry.hpp"
+#include "obs/event.hpp"
 #include "platform/cost_model.hpp"
 
 namespace ompmca::gomp {
@@ -275,8 +275,7 @@ template <typename T, typename Op>
 T ParallelContext::reduce(T local, Op op) {
   static_assert(std::is_trivially_copyable_v<T>,
                 "reduction type must be trivially copyable");
-  obs::count(obs::Counter::kGompReduction);
-  obs::ScopedTimer obs_timer(obs::Hist::kGompReductionNs);
+  obs::Scope event(obs::Event::kReduction);
   static_assert(sizeof(T) <= Team::kMaxReduceBytes,
                 "reduction type exceeds the per-thread slot");
   Team& team = *team_;

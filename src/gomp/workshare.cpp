@@ -2,8 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
+#include "obs/event.hpp"
 
 namespace ompmca::gomp {
 
@@ -150,20 +149,14 @@ bool LoopInstance::steal_range(unsigned tid, long* lo, long* hi) {
         const std::uint32_t v_hi = range_hi(cur);
         if (v_lo >= v_hi) break;
         any_work = true;
-        obs::count(obs::Counter::kGompLoopStealAttempt);
-        if (obs::trace::verbose()) {
-          obs::trace::instant(obs::trace::Type::kStealAttempt, v);
-        }
+        obs::emit(obs::Event::kLoopStealAttempt, v);
         // Victim keeps the front half (its cache-warm prefix); we take the
         // back half.  A one-iteration range is taken whole.
         const std::uint32_t mid = v_lo + (v_hi - v_lo) / 2;
         if (ranges_[v].range.compare_exchange_weak(
                 cur, pack(v_lo, mid), std::memory_order_acq_rel,
                 std::memory_order_acquire)) {
-          obs::count(obs::Counter::kGompLoopSteal);
-          if (obs::trace::verbose()) {
-            obs::trace::instant(obs::trace::Type::kSteal, v);
-          }
+          obs::emit(obs::Event::kLoopSteal, v);
           const std::uint32_t take = claim_size(v_hi - mid);
           if (mid + take < v_hi) {
             // Park the rest in our own slot (empty — that's why we're
@@ -185,12 +178,9 @@ bool LoopInstance::steal_range(unsigned tid, long* lo, long* hi) {
 bool LoopInstance::next_chunk(unsigned tid, long* thread_pos, long* lo,
                               long* hi) {
   const bool got = next_chunk_impl(tid, thread_pos, lo, hi);
-  // Per-chunk events are full-mode only: a clock read per chunk is
-  // measurable on EPCC FOR, and the always-on ring tier must stay cheap.
-  if (got && obs::trace::verbose()) {
-    obs::trace::instant(obs::trace::Type::kLoopChunk,
-                        static_cast<std::uint64_t>(*lo),
-                        static_cast<std::uint64_t>(*hi));
+  if (got) {
+    obs::emit(obs::Event::kLoopChunk, static_cast<std::uint64_t>(*lo),
+              static_cast<std::uint64_t>(*hi));
   }
   return got;
 }

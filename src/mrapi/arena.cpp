@@ -5,7 +5,7 @@
 
 #include "common/align.hpp"
 #include "fault/fault.hpp"
-#include "obs/telemetry.hpp"
+#include "obs/event.hpp"
 
 namespace ompmca::mrapi {
 
@@ -20,10 +20,10 @@ SystemShmArena::SystemShmArena(std::size_t capacity_bytes)
 }
 
 Result<void*> SystemShmArena::allocate(std::size_t bytes) {
-  obs::ScopedTimer timer(obs::Hist::kMrapiArenaAllocateNs);
+  obs::Scope event(obs::Event::kArenaAllocate);
   if (bytes == 0) return Status::kInvalidArgument;
   if (OMPMCA_FAULT_POINT(kMrapiArenaAlloc)) {
-    obs::count(obs::Counter::kMrapiArenaAllocateFailed);
+    obs::emit(obs::Event::kArenaAllocateFailed);
     return Status::kOutOfResources;
   }
   const std::size_t need = align_up(bytes, kCacheLineBytes);
@@ -36,17 +36,16 @@ Result<void*> SystemShmArena::allocate(std::size_t bytes) {
     if (remaining > 0) free_list_[offset + need] = remaining;
     allocated_[offset] = need;
     used_bytes_.fetch_add(need, std::memory_order_relaxed);
-    obs::count(obs::Counter::kMrapiArenaAllocate);
-    obs::gauge_max(obs::Gauge::kMrapiArenaBytesInUseHwm,
-                   used_bytes_.load(std::memory_order_relaxed));
+    obs::emit(obs::Event::kArenaAllocated,
+              used_bytes_.load(std::memory_order_relaxed));
     return static_cast<void*>(storage_.get() + base_offset_adjust_ + offset);
   }
-  obs::count(obs::Counter::kMrapiArenaAllocateFailed);
+  obs::emit(obs::Event::kArenaAllocateFailed);
   return Status::kOutOfResources;
 }
 
 Status SystemShmArena::release(void* ptr) {
-  obs::ScopedTimer timer(obs::Hist::kMrapiArenaReleaseNs);
+  obs::Scope event(obs::Event::kArenaRelease);
   // Validate the pointer against the arena's range as integers before doing
   // any pointer subtraction: `p - base` on a pointer that does not point
   // into storage_ is undefined behaviour and can wrap to a huge offset.
@@ -63,7 +62,7 @@ Status SystemShmArena::release(void* ptr) {
   const std::size_t size = it->second;
   allocated_.erase(it);
   used_bytes_.fetch_sub(size, std::memory_order_relaxed);
-  obs::count(obs::Counter::kMrapiArenaRelease);
+  obs::emit(obs::Event::kArenaReleased);
 
   // Insert and coalesce with the previous / next free block.
   auto ins = free_list_.emplace(offset, size).first;

@@ -13,8 +13,7 @@
 #include "common/spin.hpp"
 #include "common/time.hpp"
 #include "fault/fault.hpp"
-#include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
+#include "obs/event.hpp"
 
 namespace ompmca::mrapi {
 
@@ -63,14 +62,10 @@ void wake(std::atomic<std::uint32_t>& word, int n) {
 }  // namespace
 
 Status Mutex::lock(Timeout timeout_ms, LockKey* key) {
-  obs::ScopedTimer timer(obs::Hist::kMrapiMutexAcquireNs);
-  const std::uint64_t t0 = obs::trace::enabled() ? monotonic_nanos() : 0;
+  obs::Scope event(obs::Event::kMutexLock);
   bool contended = false;
   const Status s = acquire(timeout_ms, key, &contended);
-  if (t0 != 0 && s == Status::kSuccess) {
-    obs::trace::complete(obs::trace::Type::kMutexAcquire, t0,
-                         contended ? 1 : 0);
-  }
+  event.set_args(contended ? 1 : 0);
   return s;
 }
 
@@ -92,7 +87,7 @@ Status Mutex::acquire(Timeout timeout_ms, LockKey* key, bool* contended) {
       return Status::kMutexLocked;
     }
     key->value = ++depth_;
-    obs::count(obs::Counter::kMrapiMutexAcquire);
+    obs::emit(obs::Event::kMutexAcquired);
     OMPMCA_CHECK_ACQUIRE(check::LockClass::kMrapiMutex, this, 0);
     return Status::kSuccess;
   }
@@ -110,7 +105,7 @@ Status Mutex::acquire(Timeout timeout_ms, LockKey* key, bool* contended) {
   if (!state_.compare_exchange_strong(c, kLocked, std::memory_order_acquire,
                                       std::memory_order_relaxed)) {
     if (c == kRetired) return retired_error();
-    obs::count(obs::Counter::kMrapiMutexContended);
+    obs::emit(obs::Event::kMutexContended);
     if (timeout_ms == kTimeoutImmediate) return Status::kMutexLocked;
     *contended = true;
     const Status s = lock_slow(timeout_ms);
@@ -119,7 +114,7 @@ Status Mutex::acquire(Timeout timeout_ms, LockKey* key, bool* contended) {
   owner_.store(self, std::memory_order_relaxed);
   depth_ = 1;
   key->value = 1;
-  obs::count(obs::Counter::kMrapiMutexAcquire);
+  obs::emit(obs::Event::kMutexAcquired);
   OMPMCA_CHECK_ACQUIRE(check::LockClass::kMrapiMutex, this, 0);
   return Status::kSuccess;
 }

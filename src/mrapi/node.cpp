@@ -2,8 +2,7 @@
 
 #include "check/check.hpp"
 #include "fault/fault.hpp"
-#include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
+#include "obs/event.hpp"
 
 namespace ompmca::mrapi {
 
@@ -14,8 +13,7 @@ Result<Node> Node::initialize(DomainId domain, NodeId node,
   if (OMPMCA_FAULT_POINT(kMrapiNodeCreate)) return Status::kOutOfResources;
   Status s = (*d)->register_node(node, std::move(attrs));
   if (!ok(s)) return s;
-  obs::count(obs::Counter::kMrapiNodeCreate);
-  obs::trace::instant(obs::trace::Type::kNodeCreate, node);
+  obs::emit(obs::Event::kNodeCreate, node);
   return Node(*d, domain, node);
 }
 
@@ -25,8 +23,7 @@ Status Node::finalize() {
   Status s = domain_->unregister_node(node_id_);
   domain_ = nullptr;
   if (ok(s)) {
-    obs::count(obs::Counter::kMrapiNodeRetire);
-    obs::trace::instant(obs::trace::Type::kNodeRetire, node_id_);
+    obs::emit(obs::Event::kNodeRetire, node_id_);
   }
   return s;
 }
@@ -39,8 +36,7 @@ Status Node::thread_create(NodeId worker_node, ThreadParameters params) {
   Status s = domain_->register_worker_node(
       worker_node, NodeAttributes{"worker"}, std::move(worker));
   if (ok(s)) {
-    obs::count(obs::Counter::kMrapiNodeCreate);
-    obs::trace::instant(obs::trace::Type::kNodeCreate, worker_node);
+    obs::emit(obs::Event::kNodeCreate, worker_node);
   }
   return s;
 }
@@ -54,8 +50,7 @@ Status Node::thread_finalize(NodeId worker_node) {
   OMPMCA_RETURN_IF_ERROR(require_init());
   Status s = domain_->unregister_node(worker_node);
   if (ok(s)) {
-    obs::count(obs::Counter::kMrapiNodeRetire);
-    obs::trace::instant(obs::trace::Type::kNodeRetire, worker_node);
+    obs::emit(obs::Event::kNodeRetire, worker_node);
   }
   return s;
 }
@@ -64,7 +59,7 @@ Result<ShmemHandle> Node::shmem_create(ResourceKey key, std::size_t size,
                                        ShmemAttributes attrs) {
   if (!initialized()) return Status::kNodeNotInit;
   auto seg = domain_->shmem_create(key, size, attrs);
-  if (seg) obs::trace::instant(obs::trace::Type::kShmemCreate, key, size);
+  if (seg) obs::emit(obs::Event::kShmemCreate, key, size);
   return seg;
 }
 
@@ -84,7 +79,7 @@ Result<void*> Node::shmem_create_malloc(ResourceKey key, std::size_t size) {
   attrs.use_malloc = true;  // the paper's MCA_TRUE attribute (Listing 3)
   auto seg = domain_->shmem_create(key, size, attrs);
   if (!seg) return seg.status();
-  obs::trace::instant(obs::trace::Type::kShmemCreate, key, size);
+  obs::emit(obs::Event::kShmemCreate, key, size);
   return (*seg)->attach(node_id_);
 }
 

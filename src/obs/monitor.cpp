@@ -18,6 +18,7 @@
 #include "common/locks.hpp"
 #include "common/log.hpp"
 #include "common/time.hpp"
+#include "obs/event.hpp"
 #include "obs/trace.hpp"
 
 namespace ompmca::obs {
@@ -35,10 +36,7 @@ struct alignas(kCacheLineBytes) TenantSlab {
   std::atomic<std::uint64_t> regions{0};
   std::atomic<std::uint64_t> degraded{0};
   std::atomic<std::uint64_t> lease_wait_ns{0};
-  std::array<std::atomic<std::uint64_t>, kHistBuckets> buckets{};
-  std::atomic<std::uint64_t> count{0};
-  std::atomic<std::uint64_t> sum_ns{0};
-  std::atomic<std::uint64_t> max_ns{0};
+  obs::detail::AtomicHistogram dispatch;
 };
 
 struct TenantRegistry {
@@ -75,19 +73,6 @@ TenantSlab& local_slab() {
   return *slab;
 }
 
-void fetch_max(std::atomic<std::uint64_t>& slot, std::uint64_t v) {
-  std::uint64_t cur = slot.load(std::memory_order_relaxed);
-  while (cur < v &&
-         !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-void append_u64(std::string& s, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  s += buf;
-}
-
 void append_double(std::string& s, double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.1f", v);
@@ -102,11 +87,7 @@ void on_region_slow(std::uint64_t dispatch_ns, bool degraded) {
   TenantSlab& t = local_slab();
   t.regions.fetch_add(1, std::memory_order_relaxed);
   if (degraded) t.degraded.fetch_add(1, std::memory_order_relaxed);
-  t.buckets[HistogramData::bucket_of(dispatch_ns)].fetch_add(
-      1, std::memory_order_relaxed);
-  t.count.fetch_add(1, std::memory_order_relaxed);
-  t.sum_ns.fetch_add(dispatch_ns, std::memory_order_relaxed);
-  fetch_max(t.max_ns, dispatch_ns);
+  t.dispatch.record(dispatch_ns);
 }
 
 void add_lease_wait_slow(std::uint64_t ns) {
@@ -128,12 +109,7 @@ std::vector<Snap> snapshot() {
     s.regions = t->regions.load(std::memory_order_relaxed);
     s.degraded_width = t->degraded.load(std::memory_order_relaxed);
     s.lease_wait_ns = t->lease_wait_ns.load(std::memory_order_relaxed);
-    for (unsigned b = 0; b < kHistBuckets; ++b) {
-      s.dispatch.buckets[b] = t->buckets[b].load(std::memory_order_relaxed);
-    }
-    s.dispatch.count = t->count.load(std::memory_order_relaxed);
-    s.dispatch.sum_ns = t->sum_ns.load(std::memory_order_relaxed);
-    s.dispatch.max_ns = t->max_ns.load(std::memory_order_relaxed);
+    t->dispatch.merge_into(s.dispatch);
     out.push_back(std::move(s));
   }
   return out;
@@ -175,10 +151,7 @@ void reset() {
     t->regions.store(0, std::memory_order_relaxed);
     t->degraded.store(0, std::memory_order_relaxed);
     t->lease_wait_ns.store(0, std::memory_order_relaxed);
-    for (auto& b : t->buckets) b.store(0, std::memory_order_relaxed);
-    t->count.store(0, std::memory_order_relaxed);
-    t->sum_ns.store(0, std::memory_order_relaxed);
-    t->max_ns.store(0, std::memory_order_relaxed);
+    t->dispatch.reset();
   }
 }
 
@@ -188,17 +161,7 @@ void reset() {
 
 namespace monitor {
 
-namespace detail {
-std::atomic<bool> g_armed{false};
-}  // namespace detail
-
 namespace {
-
-void append_u64(std::string& s, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  s += buf;
-}
 
 void append_fixed(std::string& s, double v, const char* fmt) {
   char buf[48];
@@ -301,7 +264,7 @@ void watchdog_pass(const Options& opts) {
     }
   }
   for (const StallRegion& r : stalled) {
-    obs::count(Counter::kObsStallDetected);
+    emit(Event::kStallDetected);
     const double age_ms = static_cast<double>(now - r.start_ns) * 1e-6;
     OMPMCA_LOG_ERROR(
         "monitor: STALL detected: region seq=%llu slot=%u tenant=%llu "
@@ -324,7 +287,7 @@ void watchdog_pass(const Options& opts) {
 /// the sink is stderr or prom-format).
 void emit_tick(DeltaSampler& sampler, const Options& opts, std::FILE* sink) {
   MonitorState& st = MonitorState::instance();
-  obs::count(Counter::kObsMonitorTick);
+  emit(Event::kMonitorTick);
   watchdog_pass(opts);
   const Sample s = sampler.take();
   std::string rendered =
@@ -593,7 +556,7 @@ bool start(const Options& opts) {
   st.running = true;
   st.stop_requested = false;
   st.ticks.store(0, std::memory_order_relaxed);
-  detail::g_armed.store(true, std::memory_order_relaxed);
+  gate::set(gate::kMonitor, gate::kMonitor);
   Options sanitized = opts;
   if (sanitized.interval_ms == 0) sanitized.interval_ms = 1;
   // Baseline here, not on the sampler thread: anything recorded after
@@ -615,7 +578,7 @@ void stop() {
   }
   st.cv.notify_all();
   if (t.joinable()) t.join();
-  detail::g_armed.store(false, std::memory_order_relaxed);
+  gate::set(gate::kMonitor, 0);
 }
 
 bool running() {

@@ -33,7 +33,6 @@
 // armed() is true, so an unmonitored run executes zero extra atomic writes.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -110,14 +109,9 @@ struct Options {
   bool abort_on_stall = false;
 };
 
-namespace detail {
-extern std::atomic<bool> g_armed;
-}  // namespace detail
-
-/// One relaxed load; gates the pool's heartbeat bumps and slot mirrors.
-inline bool armed() {
-  return detail::g_armed.load(std::memory_order_relaxed);
-}
+/// One relaxed load of the gate word; gates the pool's heartbeat bumps and
+/// slot mirrors.
+inline bool armed() { return (gate::bits() & gate::kMonitor) != 0; }
 
 // --- stall sources ------------------------------------------------------------
 

@@ -29,22 +29,12 @@ void atomic_fetch_max(std::atomic<std::uint64_t>& slot, std::uint64_t value) {
 /// cache lines.
 struct alignas(kCacheLineBytes) ThreadSlab {
   std::array<std::atomic<std::uint64_t>, kNumCounters> counters{};
-  struct HistSlab {
-    std::array<std::atomic<std::uint64_t>, kHistBuckets> buckets{};
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<std::uint64_t> sum_ns{0};
-    std::atomic<std::uint64_t> max_ns{0};
-  };
-  std::array<HistSlab, kNumHists> hists{};
+  std::array<detail::AtomicHistogram, kNumHists> hists{};
 };
 
 enum class Mode { kOff, kOn, kJson };
 
 }  // namespace
-
-namespace detail {
-std::atomic<bool> g_enabled{false};
-}  // namespace detail
 
 // --- names --------------------------------------------------------------------
 
@@ -74,7 +64,6 @@ std::string_view name(Counter c) {
     case Counter::kMrapiArenaAllocateFailed:
       return "mrapi.arena_allocate_failed";
     case Counter::kMrapiArenaRelease: return "mrapi.arena_release";
-    case Counter::kPlatformTeamShape: return "platform.team_shape";
     case Counter::kObsMonitorTick: return "obs.monitor_tick";
     case Counter::kObsStallDetected: return "obs.stall_detected";
     case Counter::kCount: break;
@@ -91,7 +80,6 @@ std::string_view name(Hist h) {
     case Hist::kGompReductionNs: return "gomp.reduction_ns";
     case Hist::kGompBarrierWaitCentralNs:
       return "gomp.barrier_wait.central_ns";
-    case Hist::kGompPoolDispatchNs: return "gomp.pool_dispatch_ns";
     case Hist::kGompDoorbellWakeNs: return "gomp.doorbell_wake_ns";
     case Hist::kGompLeaseWaitNs: return "gomp.lease_wait_ns";
     case Hist::kMrapiMutexAcquireNs: return "mrapi.mutex_acquire_ns";
@@ -156,6 +144,31 @@ HistogramData& HistogramData::operator+=(const HistogramData& o) {
   return *this;
 }
 
+// --- AtomicHistogram ----------------------------------------------------------
+
+void detail::AtomicHistogram::record(std::uint64_t ns) {
+  buckets[HistogramData::bucket_of(ns)].fetch_add(1, std::memory_order_relaxed);
+  count.fetch_add(1, std::memory_order_relaxed);
+  sum_ns.fetch_add(ns, std::memory_order_relaxed);
+  atomic_fetch_max(max_ns, ns);
+}
+
+void detail::AtomicHistogram::merge_into(HistogramData& out) const {
+  for (unsigned b = 0; b < kHistBuckets; ++b) {
+    out.buckets[b] += buckets[b].load(std::memory_order_relaxed);
+  }
+  out.count += count.load(std::memory_order_relaxed);
+  out.sum_ns += sum_ns.load(std::memory_order_relaxed);
+  out.max_ns = std::max(out.max_ns, max_ns.load(std::memory_order_relaxed));
+}
+
+void detail::AtomicHistogram::reset() {
+  for (auto& b : buckets) b.store(0, std::memory_order_relaxed);
+  count.store(0, std::memory_order_relaxed);
+  sum_ns.store(0, std::memory_order_relaxed);
+  max_ns.store(0, std::memory_order_relaxed);
+}
+
 // --- Registry -----------------------------------------------------------------
 
 struct Registry::Impl {
@@ -169,7 +182,6 @@ struct Registry::Impl {
       OMPMCA_GUARDED_BY(sections_mu);
 
   std::array<std::atomic<std::uint64_t>, kNumGauges> gauges{};
-  std::array<std::atomic<std::uint64_t>, kMaxClusters> placements{};
 
   Mode mode = Mode::kOff;
   mutable CapMutex report_mu;             // path + truncation state
@@ -199,7 +211,7 @@ Registry& Registry::instance() {
 
 namespace {
 // The hooks never touch the Registry while disabled (one relaxed load of
-// g_enabled only), so OMPMCA_TELEMETRY must be parsed — and the atexit
+// the gate word only), so OMPMCA_TELEMETRY must be parsed — and the atexit
 // report registered — before main() rather than lazily on first use.
 [[maybe_unused]] const bool g_bootstrap = (Registry::instance(), true);
 }  // namespace
@@ -214,9 +226,7 @@ Registry::Registry() : impl_(new Impl()) {
     }
   }
   if (auto f = env_string("OMPMCA_TELEMETRY_FILE")) impl_->report_path = *f;
-  if (impl_->mode != Mode::kOff) {
-    detail::g_enabled.store(true, std::memory_order_relaxed);
-  }
+  if (impl_->mode != Mode::kOff) gate::set(gate::kTelemetry, gate::kTelemetry);
   if (impl_->mode == Mode::kJson) {
     std::atexit([] {
       Registry& reg = Registry::instance();
@@ -233,15 +243,9 @@ void Registry::reset() {
   MutexLock lk(impl_->slabs_mu);
   for (auto& slab : impl_->slabs) {
     for (auto& c : slab->counters) c.store(0, std::memory_order_relaxed);
-    for (auto& h : slab->hists) {
-      for (auto& b : h.buckets) b.store(0, std::memory_order_relaxed);
-      h.count.store(0, std::memory_order_relaxed);
-      h.sum_ns.store(0, std::memory_order_relaxed);
-      h.max_ns.store(0, std::memory_order_relaxed);
-    }
+    for (auto& h : slab->hists) h.reset();
   }
   for (auto& g : impl_->gauges) g.store(0, std::memory_order_relaxed);
-  for (auto& p : impl_->placements) p.store(0, std::memory_order_relaxed);
 }
 
 Snapshot Registry::snapshot() const {
@@ -253,22 +257,11 @@ Snapshot Registry::snapshot() const {
       out.counters[c] += slab->counters[c].load(std::memory_order_relaxed);
     }
     for (unsigned h = 0; h < kNumHists; ++h) {
-      const auto& src = slab->hists[h];
-      auto& dst = out.hists[h];
-      for (unsigned b = 0; b < kHistBuckets; ++b) {
-        dst.buckets[b] += src.buckets[b].load(std::memory_order_relaxed);
-      }
-      dst.count += src.count.load(std::memory_order_relaxed);
-      dst.sum_ns += src.sum_ns.load(std::memory_order_relaxed);
-      dst.max_ns =
-          std::max(dst.max_ns, src.max_ns.load(std::memory_order_relaxed));
+      slab->hists[h].merge_into(out.hists[h]);
     }
   }
   for (unsigned g = 0; g < kNumGauges; ++g) {
     out.gauges[g] = impl_->gauges[g].load(std::memory_order_relaxed);
-  }
-  for (unsigned p = 0; p < kMaxClusters; ++p) {
-    out.placements[p] = impl_->placements[p].load(std::memory_order_relaxed);
   }
   return out;
 }
@@ -276,13 +269,6 @@ Snapshot Registry::snapshot() const {
 namespace {
 
 void append(std::string& s, std::string_view v) { s.append(v); }
-
-void append_u64(std::string& s, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(v));
-  s += buf;
-}
 
 }  // namespace
 
@@ -314,18 +300,7 @@ std::string Registry::json(std::string_view tag) const {
     append(s, "\": ");
     append_u64(s, snap.gauges[g]);
   }
-  append(s, "\n  },\n  \"placements_per_cluster\": {");
-  first = true;
-  for (unsigned p = 0; p < kMaxClusters; ++p) {
-    if (snap.placements[p] == 0) continue;
-    append(s, first ? "\n" : ",\n");
-    first = false;
-    append(s, "    \"cluster");
-    append_u64(s, p);
-    append(s, "\": ");
-    append_u64(s, snap.placements[p]);
-  }
-  append(s, first ? "},\n  \"histograms\": {" : "\n  },\n  \"histograms\": {");
+  append(s, "\n  },\n  \"histograms\": {");
   first = true;
   for (unsigned h = 0; h < kNumHists; ++h) {
     const HistogramData& hd = snap.hists[h];
@@ -403,7 +378,7 @@ void Registry::maybe_write_report(std::string_view tag) {
 
 void set_enabled(bool on) {
   (void)Registry::instance();  // make sure atexit/env setup has run
-  detail::g_enabled.store(on, std::memory_order_relaxed);
+  gate::set(gate::kTelemetry, on ? gate::kTelemetry : 0);
 }
 
 namespace detail {
@@ -416,13 +391,13 @@ void add_counter(Counter c, std::uint64_t n) {
 }
 
 void record_hist(Hist h, std::uint64_t ns) {
-  auto& hist =
-      Registry::instance().impl_->local_slab().hists[static_cast<unsigned>(h)];
-  hist.buckets[HistogramData::bucket_of(ns)].fetch_add(
-      1, std::memory_order_relaxed);
-  hist.count.fetch_add(1, std::memory_order_relaxed);
-  hist.sum_ns.fetch_add(ns, std::memory_order_relaxed);
-  atomic_fetch_max(hist.max_ns, ns);
+  Registry::instance().impl_->local_slab().hists[static_cast<unsigned>(h)]
+      .record(ns);
+}
+
+void raise_gauge(Gauge g, std::uint64_t value) {
+  atomic_fetch_max(
+      Registry::instance().impl_->gauges[static_cast<unsigned>(g)], value);
 }
 
 }  // namespace detail
@@ -437,19 +412,6 @@ void register_report_section(std::string_view key, std::string (*fn)()) {
     }
   }
   impl->sections.emplace_back(std::string(key), fn);
-}
-
-void gauge_max(Gauge g, std::uint64_t value) {
-  if (!enabled()) return;
-  atomic_fetch_max(
-      Registry::instance().impl_->gauges[static_cast<unsigned>(g)], value);
-}
-
-void placement(unsigned cluster, std::uint64_t n) {
-  if (!enabled()) return;
-  if (cluster >= kMaxClusters) cluster = kMaxClusters - 1;
-  Registry::instance().impl_->placements[cluster].fetch_add(
-      n, std::memory_order_relaxed);
 }
 
 }  // namespace ompmca::obs

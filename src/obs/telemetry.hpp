@@ -13,6 +13,8 @@
 //    atomic load and a predictable branch — cheap enough that Table I
 //    ratios are unaffected.
 //
+// The runtime records through the event seam (event.hpp), not directly.
+//
 // Enable with OMPMCA_TELEMETRY=json (JSON report on process exit, or
 // explicitly via Registry::maybe_write_report) or programmatically with
 // set_enabled(true) / ScopedEnable (what the tests use).  The report goes
@@ -28,7 +30,7 @@
 #include <string_view>
 
 #include "common/align.hpp"
-#include "common/time.hpp"
+#include "obs/gate.hpp"
 
 namespace ompmca::obs {
 
@@ -69,8 +71,6 @@ enum class Counter : unsigned {
   kMrapiArenaAllocate,
   kMrapiArenaAllocateFailed,
   kMrapiArenaRelease,
-  // platform — placement machinery.
-  kPlatformTeamShape,
   // obs — the live monitor's own meters (src/obs/monitor.cpp).
   kObsMonitorTick,
   kObsStallDetected,
@@ -85,7 +85,6 @@ enum class Hist : unsigned {
   kGompCriticalNs,
   kGompReductionNs,
   kGompBarrierWaitCentralNs,
-  kGompPoolDispatchNs,
   kGompDoorbellWakeNs,  // doorbell ring -> worker starts the region body
   kGompLeaseWaitNs,     // time a master waited for contended worker leases
   kMrapiMutexAcquireNs,
@@ -105,27 +104,22 @@ inline constexpr unsigned kNumCounters = static_cast<unsigned>(Counter::kCount);
 inline constexpr unsigned kNumHists = static_cast<unsigned>(Hist::kCount);
 inline constexpr unsigned kNumGauges = static_cast<unsigned>(Gauge::kCount);
 inline constexpr unsigned kHistBuckets = 40;  // covers up to ~9 minutes in ns
-/// Per-cluster placement counters (T4240 has 3 clusters; leave headroom).
-inline constexpr unsigned kMaxClusters = 16;
 
 /// Dotted metric names used in the JSON report.
 std::string_view name(Counter c);
 std::string_view name(Hist h);
 std::string_view name(Gauge g);
 
-// --- the enabled switch (the only thing disabled-mode hooks touch) -----------
+// --- the enabled switch: the telemetry bit of the gate word ------------------
 
 namespace detail {
-extern std::atomic<bool> g_enabled;
-
 void add_counter(Counter c, std::uint64_t n);
 void record_hist(Hist h, std::uint64_t ns);
+void raise_gauge(Gauge g, std::uint64_t value);
 }  // namespace detail
 
-/// One relaxed load; the disabled-mode cost of every hook.
-inline bool enabled() {
-  return detail::g_enabled.load(std::memory_order_relaxed);
-}
+/// One relaxed load of the gate word.
+inline bool enabled() { return (gate::bits() & gate::kTelemetry) != 0; }
 
 void set_enabled(bool on);
 
@@ -136,14 +130,16 @@ inline void count(Counter c, std::uint64_t n = 1) {
   detail::add_counter(c, n);
 }
 
-/// Records a duration that was measured by the caller (the caller must have
-/// checked enabled() before paying for the clock reads).
+/// Records a duration that was measured by the caller.
 inline void record(Hist h, std::uint64_t ns) {
   if (!enabled()) return;
   detail::record_hist(h, ns);
 }
 
-void gauge_max(Gauge g, std::uint64_t value);
+inline void gauge_max(Gauge g, std::uint64_t value) {
+  if (!enabled()) return;
+  detail::raise_gauge(g, value);
+}
 
 /// Registers an extra top-level section for the JSON report: rendered as
 /// `"key": <fn()>` after the histograms.  @p fn must return a complete JSON
@@ -152,31 +148,10 @@ void gauge_max(Gauge g, std::uint64_t value);
 /// replaces the previous provider.
 void register_report_section(std::string_view key, std::string (*fn)());
 
-/// One software thread placed into hardware cluster @p cluster.
-void placement(unsigned cluster, std::uint64_t n = 1);
-
-/// RAII duration probe: reads the clock only when telemetry is enabled at
-/// construction, so the disabled path is load + branch.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Hist h) {
-    if (enabled()) {
-      hist_ = h;
-      start_ns_ = monotonic_nanos();
-      armed_ = true;
-    }
-  }
-  ~ScopedTimer() {
-    if (armed_) detail::record_hist(hist_, monotonic_nanos() - start_ns_);
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  std::uint64_t start_ns_ = 0;
-  Hist hist_{};
-  bool armed_ = false;
-};
+/// Appends @p v in decimal: the number format of every report section.
+inline void append_u64(std::string& s, std::uint64_t v) {
+  s += std::to_string(v);
+}
 
 // --- snapshot / report --------------------------------------------------------
 
@@ -215,12 +190,29 @@ struct HistogramData {
   HistogramData& operator+=(const HistogramData& o);
 };
 
+namespace detail {
+
+/// A HistogramData one thread records into and any thread reads (relaxed
+/// atomics): the storage of the per-thread slabs and of the tenant meters.
+struct AtomicHistogram {
+  std::array<std::atomic<std::uint64_t>, kHistBuckets> buckets{};
+  std::atomic<std::uint64_t> count{0};
+  std::atomic<std::uint64_t> sum_ns{0};
+  std::atomic<std::uint64_t> max_ns{0};
+
+  void record(std::uint64_t ns);
+  /// Adds the samples recorded so far into @p out.
+  void merge_into(HistogramData& out) const;
+  void reset();
+};
+
+}  // namespace detail
+
 /// A merged, self-consistent-enough view of all thread slabs (individual
 /// slots are read relaxed; exactness across slots is not a goal).
 struct Snapshot {
   std::array<std::uint64_t, kNumCounters> counters{};
   std::array<std::uint64_t, kNumGauges> gauges{};
-  std::array<std::uint64_t, kMaxClusters> placements{};
   std::array<HistogramData, kNumHists> hists{};
   unsigned threads_observed = 0;
 
@@ -258,8 +250,8 @@ class Registry {
   /// so their telemetry rides alongside the printed tables.
   void maybe_write_report(std::string_view tag);
 
-  /// Zeroes every slab, gauge and placement counter (tests only — racing
-  /// writers make the result approximate).
+  /// Zeroes every slab and gauge (tests only — racing writers make the
+  /// result approximate).
   void reset();
 
   /// True when OMPMCA_TELEMETRY=json (report-on-exit mode).
@@ -272,8 +264,7 @@ class Registry {
 
   friend void detail::add_counter(Counter, std::uint64_t);
   friend void detail::record_hist(Hist, std::uint64_t);
-  friend void gauge_max(Gauge, std::uint64_t);
-  friend void placement(unsigned, std::uint64_t);
+  friend void detail::raise_gauge(Gauge, std::uint64_t);
   friend void register_report_section(std::string_view, std::string (*)());
 };
 

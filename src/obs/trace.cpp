@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <iterator>
 #include <memory>
 #include <mutex>
 
@@ -12,45 +13,66 @@
 #include "common/env.hpp"
 #include "common/locks.hpp"
 #include "common/log.hpp"
+#include "obs/telemetry.hpp"
 
 namespace ompmca::obs::trace {
 
-namespace detail {
-std::atomic<unsigned> g_mode{0};
-}  // namespace detail
-
-std::string_view name(Type t) {
-  switch (t) {
-    case Type::kParallel: return "parallel";
-    case Type::kForkRing: return "fork_ring";
-    case Type::kWorkerWake: return "worker_wake";
-    case Type::kWorkerWork: return "worker_work";
-    case Type::kJoinWait: return "join_wait";
-    case Type::kBarrier: return "barrier";
-    case Type::kFor: return "for";
-    case Type::kSingle: return "single";
-    case Type::kCritical: return "critical";
-    case Type::kLoopChunk: return "loop_chunk";
-    case Type::kStealAttempt: return "steal_attempt";
-    case Type::kSteal: return "steal";
-    case Type::kTaskSpawn: return "task_spawn";
-    case Type::kTaskRun: return "task_run";
-    case Type::kTaskSteal: return "task_steal";
-    case Type::kMutexAcquire: return "mutex_acquire";
-    case Type::kNodeCreate: return "node_create";
-    case Type::kNodeRetire: return "node_retire";
-    case Type::kShmemCreate: return "shmem_create";
-    case Type::kFaultInject: return "fault_inject";
-    case Type::kFaultRecover: return "fault_recover";
-    case Type::kFaultExhaust: return "fault_exhaust";
-    case Type::kLockAcquire: return "lock_acquire";
-    case Type::kCheckViolation: return "check_violation";
-    case Type::kCount: break;
-  }
-  return "?";
-}
-
 namespace {
+
+/// One trace type's export schema: its name, Chrome category and the keys
+/// of its payload words (nullptr: the word is not exported).
+struct TypeInfo {
+  Type type;
+  std::string_view name;
+  std::string_view category;
+  const char* a0;
+  const char* a1;
+};
+
+constexpr TypeInfo kTypes[] = {
+    {Type::kParallel, "parallel", "gomp", "width", "nested"},
+    {Type::kForkRing, "fork_ring", "gomp", "epoch", "width"},
+    {Type::kWorkerWake, "worker_wake", "gomp", "epoch", nullptr},
+    {Type::kWorkerWork, "worker_work", "gomp", "epoch", nullptr},
+    {Type::kJoinWait, "join_wait", "gomp", "epoch", nullptr},
+    {Type::kBarrier, "barrier", "gomp", "width", nullptr},
+    {Type::kFor, "for", "gomp", "a0", "a1"},
+    {Type::kSingle, "single", "gomp", "a0", "a1"},
+    {Type::kCritical, "critical", "gomp", "a0", "a1"},
+    {Type::kLoopChunk, "loop_chunk", "gomp", "lo", "hi"},
+    {Type::kStealAttempt, "steal_attempt", "gomp", "victim", nullptr},
+    {Type::kSteal, "steal", "gomp", "victim", nullptr},
+    {Type::kTaskSpawn, "task_spawn", "gomp", "tid", "depth"},
+    {Type::kTaskRun, "task_run", "gomp", "stolen", nullptr},
+    {Type::kTaskSteal, "task_steal", "gomp", "victim", nullptr},
+    {Type::kMutexAcquire, "mutex_acquire", "mrapi", "contended", nullptr},
+    {Type::kNodeCreate, "node_create", "mrapi", "node", nullptr},
+    {Type::kNodeRetire, "node_retire", "mrapi", "node", nullptr},
+    {Type::kShmemCreate, "shmem_create", "mrapi", "key", "bytes"},
+    {Type::kFaultInject, "fault_inject", "fault", "site", nullptr},
+    {Type::kFaultRecover, "fault_recover", "fault", "site", nullptr},
+    {Type::kFaultExhaust, "fault_exhaust", "fault", "site", nullptr},
+    {Type::kLockAcquire, "lock_acquire", "check", "lock_class", "key"},
+    {Type::kCheckViolation, "check_violation", "check", "violation", nullptr},
+};
+
+constexpr bool types_in_order() {
+  if (std::size(kTypes) != static_cast<std::size_t>(Type::kCount)) return false;
+  for (std::size_t i = 0; i < std::size(kTypes); ++i) {
+    if (kTypes[i].type != static_cast<Type>(i)) return false;
+  }
+  return true;
+}
+static_assert(types_in_order(), "kTypes rows must follow trace::Type order");
+
+const TypeInfo& info(Type t) { return kTypes[static_cast<std::size_t>(t)]; }
+
+/// Ring mode sets the ring bit; full mode sets it and the full bit.
+void set_mode_bits(Mode m) {
+  gate::set(gate::kTrace, m == Mode::kFull   ? gate::kTrace
+                         : m == Mode::kRing ? gate::kTraceRing
+                                            : 0);
+}
 
 constexpr std::size_t kDefaultRingEvents = 4096;
 constexpr std::size_t kMinRingEvents = 16;
@@ -147,11 +169,9 @@ struct TraceRegistry {
   TraceRegistry() {
     if (auto v = env_string("OMPMCA_TRACE")) {
       if (iequals(*v, "ring")) {
-        detail::g_mode.store(static_cast<unsigned>(Mode::kRing),
-                             std::memory_order_relaxed);
+        set_mode_bits(Mode::kRing);
       } else if (iequals(*v, "full")) {
-        detail::g_mode.store(static_cast<unsigned>(Mode::kFull),
-                             std::memory_order_relaxed);
+        set_mode_bits(Mode::kFull);
       } else if (!iequals(*v, "off") && !iequals(*v, "0")) {
         std::fprintf(stderr,
                      "ompmca: OMPMCA_TRACE=%s not recognised "
@@ -177,11 +197,13 @@ struct TraceRegistry {
 };
 
 // The hooks never touch the registry while disabled (one relaxed load of
-// g_mode only), so OMPMCA_TRACE must be parsed — and the atexit export
+// the gate word only), so OMPMCA_TRACE must be parsed — and the atexit export
 // registered — before main() rather than lazily on first emit.
 [[maybe_unused]] const bool g_bootstrap = (TraceRegistry::instance(), true);
 
 }  // namespace
+
+std::string_view name(Type t) { return t < Type::kCount ? info(t).name : "?"; }
 
 namespace detail {
 
@@ -190,9 +212,7 @@ void emit(Type type, std::uint64_t begin_ns, std::uint64_t end_ns,
   TraceRegistry& reg = TraceRegistry::instance();
   ThreadBuf& buf = reg.local_buf();
   const std::uint64_t h = buf.head.load(std::memory_order_relaxed);
-  if (g_mode.load(std::memory_order_relaxed) ==
-          static_cast<unsigned>(Mode::kFull) &&
-      h > 0 && (h & (buf.capacity - 1)) == 0) {
+  if (verbose() && h > 0 && (h & (buf.capacity - 1)) == 0) {
     // Ring is about to start overwriting: archive the full chunk first so
     // nothing is lost.  Owner-thread only; the lock orders us against
     // snapshot()/reset(), never against other writers.
@@ -209,12 +229,14 @@ void emit(Type type, std::uint64_t begin_ns, std::uint64_t end_ns,
 }  // namespace detail
 
 Mode mode() {
-  return static_cast<Mode>(detail::g_mode.load(std::memory_order_relaxed));
+  const unsigned bits = gate::bits();
+  if ((bits & gate::kTraceFull) != 0) return Mode::kFull;
+  return (bits & gate::kTraceRing) != 0 ? Mode::kRing : Mode::kOff;
 }
 
 void set_mode(Mode m) {
   (void)TraceRegistry::instance();  // make sure env/atexit setup has run
-  detail::g_mode.store(static_cast<unsigned>(m), std::memory_order_relaxed);
+  set_mode_bits(m);
 }
 
 void set_ring_capacity(std::size_t events) {
@@ -283,12 +305,6 @@ std::vector<ThreadTrace> snapshot() {
 
 namespace {
 
-void append_u64(std::string& s, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  s += buf;
-}
-
 /// Microseconds with ns precision, as Chrome's `ts`/`dur` expect.
 void append_us(std::string& s, std::uint64_t ns) {
   char buf[32];
@@ -298,99 +314,18 @@ void append_us(std::string& s, std::uint64_t ns) {
   s += buf;
 }
 
-std::string_view category_of(Type t) {
-  switch (t) {
-    case Type::kMutexAcquire:
-    case Type::kNodeCreate:
-    case Type::kNodeRetire:
-    case Type::kShmemCreate:
-      return "mrapi";
-    case Type::kFaultInject:
-    case Type::kFaultRecover:
-    case Type::kFaultExhaust:
-      return "fault";
-    case Type::kLockAcquire:
-    case Type::kCheckViolation:
-      return "check";
-    default:
-      return "gomp";
-  }
-}
-
 /// Renders the two payload words with type-appropriate key names.
 void append_args(std::string& s, const Event& e) {
-  auto kv = [&s](const char* key, std::uint64_t v, bool first = false) {
-    if (!first) s += ",";
-    s += "\"";
-    s += key;
+  const TypeInfo& t = info(e.type);
+  s += ",\"args\":{\"";
+  s += t.a0;
+  s += "\":";
+  append_u64(s, e.a0);
+  if (t.a1 != nullptr) {
+    s += ",\"";
+    s += t.a1;
     s += "\":";
-    append_u64(s, v);
-  };
-  s += ",\"args\":{";
-  switch (e.type) {
-    case Type::kParallel:
-      kv("width", e.a0, true);
-      kv("nested", e.a1);
-      break;
-    case Type::kForkRing:
-      kv("epoch", e.a0, true);
-      kv("width", e.a1);
-      break;
-    case Type::kWorkerWake:
-    case Type::kWorkerWork:
-    case Type::kJoinWait:
-      kv("epoch", e.a0, true);
-      break;
-    case Type::kBarrier:
-      kv("width", e.a0, true);
-      break;
-    case Type::kLoopChunk:
-      kv("lo", e.a0, true);
-      kv("hi", e.a1);
-      break;
-    case Type::kStealAttempt:
-      kv("victim", e.a0, true);
-      break;
-    case Type::kSteal:
-      kv("victim", e.a0, true);
-      break;
-    case Type::kTaskSpawn:
-      kv("tid", e.a0, true);
-      kv("depth", e.a1);
-      break;
-    case Type::kTaskRun:
-      kv("stolen", e.a0, true);
-      break;
-    case Type::kTaskSteal:
-      kv("victim", e.a0, true);
-      break;
-    case Type::kMutexAcquire:
-      kv("contended", e.a0, true);
-      break;
-    case Type::kNodeCreate:
-    case Type::kNodeRetire:
-      kv("node", e.a0, true);
-      break;
-    case Type::kShmemCreate:
-      kv("key", e.a0, true);
-      kv("bytes", e.a1);
-      break;
-    case Type::kFaultInject:
-    case Type::kFaultRecover:
-    case Type::kFaultExhaust:
-      kv("site", e.a0, true);
-      break;
-    case Type::kLockAcquire:
-      kv("lock_class", e.a0, true);
-      kv("key", e.a1);
-      break;
-    case Type::kCheckViolation:
-      kv("violation", e.a0, true);
-      break;
-    default:
-      kv("a0", e.a0, true);
-      kv("a1", e.a1);
-      break;
+    append_u64(s, e.a1);
   }
   s += "}";
 }
@@ -447,7 +382,7 @@ std::string chrome_json() {
       s += ",\"name\":\"";
       s += name(e.type);
       s += "\",\"cat\":\"";
-      s += category_of(e.type);
+      s += info(e.type).category;
       s += "\"";
       append_args(s, e);
       s += "}";
@@ -493,7 +428,7 @@ bool write_chrome_json(const std::string& path) {
 
 // --- crash flight record -----------------------------------------------------
 
-void dump_flight_record(const char* reason) {
+void dump_flight_record(std::string_view reason) {
   if (!enabled()) return;
   const std::vector<ThreadTrace> threads = snapshot();
 
@@ -505,7 +440,7 @@ void dump_flight_record(const char* reason) {
 
   std::string s;
   s += "=== ompmca trace flight record (";
-  s += reason != nullptr ? reason : "?";
+  s += reason;
   s += ") ===\n";
   for (const auto& tt : threads) {
     if (tt.events.empty()) continue;

@@ -10,8 +10,8 @@
 //    (type, begin/end ns, two payload words); the writer publishes each slot
 //    with one release store of the ring head, readers snapshot with acquire
 //    loads — no locks anywhere on the hot path;
-//  * `OMPMCA_TRACE=off|ring|full` gates recording.  Disabled hooks cost one
-//    relaxed atomic load and a predictable branch, same budget as telemetry.
+//  * `OMPMCA_TRACE=off|ring|full` sets the trace bits of the gate word
+//    (gate.hpp); the runtime records through the event seam (event.hpp).
 //    `ring` keeps only the newest OMPMCA_TRACE_RING events per thread (flight
 //    recorder); `full` archives every wrapped-out chunk so nothing is lost;
 //  * `OMPMCA_TRACE_FILE=<path>` exports Chrome/Perfetto JSON at process exit;
@@ -23,13 +23,12 @@
 //    inversion/deadlock report arrives with its event history attached.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/time.hpp"
+#include "obs/gate.hpp"
 
 namespace ompmca::obs::trace {
 
@@ -93,29 +92,24 @@ struct ThreadTrace {
   std::vector<Event> events;
 };
 
-// --- the mode switch (the only thing disabled hooks touch) -------------------
+// --- the mode switch: the trace bits of the gate word -------------------------
 
 namespace detail {
-extern std::atomic<unsigned> g_mode;
-
+/// The ring writer: appends one event to the calling thread's ring.  The
+/// seam (event.hpp) is the only caller on the runtime's paths.
 void emit(Type type, std::uint64_t begin_ns, std::uint64_t end_ns,
           std::uint64_t a0, std::uint64_t a1);
 }  // namespace detail
 
-/// One relaxed load; the disabled-mode cost of every hook.
-inline bool enabled() {
-  return detail::g_mode.load(std::memory_order_relaxed) != 0;
-}
+/// One relaxed load of the gate word.
+inline bool enabled() { return (gate::bits() & gate::kTraceRing) != 0; }
 
 /// True only in full mode.  Per-iteration events (loop chunks, steal
-/// attempts) are gated on this instead of enabled(): they cost a clock read
-/// per loop *chunk*, which is measurable on EPCC FOR microbenchmarks, so the
+/// attempts) are recorded only then: they cost a clock read per loop
+/// *chunk*, which is measurable on EPCC FOR microbenchmarks, so the
 /// always-on ring tier records control flow only and the deep-dive full tier
 /// adds the per-chunk detail.
-inline bool verbose() {
-  return detail::g_mode.load(std::memory_order_relaxed) ==
-         static_cast<unsigned>(Mode::kFull);
-}
+inline bool verbose() { return (gate::bits() & gate::kTraceFull) != 0; }
 
 Mode mode();
 void set_mode(Mode m);
@@ -127,59 +121,6 @@ std::size_t ring_capacity();
 /// Drops all recorded events and re-sizes rings to the configured capacity.
 /// Tests only: concurrent writers make the result approximate.
 void reset();
-
-// --- recording hooks ---------------------------------------------------------
-
-/// Point event stamped now.
-inline void instant(Type t, std::uint64_t a0 = 0, std::uint64_t a1 = 0) {
-  if (!enabled()) return;
-  const std::uint64_t now = monotonic_nanos();
-  detail::emit(t, now, now, a0, a1);
-}
-
-/// Point event with a caller-supplied timestamp (e.g. the doorbell ring time
-/// already captured for the wake-latency histogram).
-inline void instant_at(Type t, std::uint64_t ts_ns, std::uint64_t a0 = 0,
-                       std::uint64_t a1 = 0) {
-  if (!enabled()) return;
-  detail::emit(t, ts_ns, ts_ns, a0, a1);
-}
-
-/// Duration event whose start the caller measured (after checking enabled()).
-inline void complete(Type t, std::uint64_t begin_ns, std::uint64_t a0 = 0,
-                     std::uint64_t a1 = 0) {
-  if (!enabled()) return;
-  detail::emit(t, begin_ns, monotonic_nanos(), a0, a1);
-}
-
-/// RAII duration probe: reads the clock only when tracing is enabled at
-/// construction; payload words may be filled in before destruction.
-class Span {
- public:
-  explicit Span(Type t, std::uint64_t a0 = 0, std::uint64_t a1 = 0)
-      : a0_(a0), a1_(a1), type_(t) {
-    if (enabled()) {
-      begin_ns_ = monotonic_nanos();
-      armed_ = true;
-    }
-  }
-  ~Span() {
-    if (armed_) detail::emit(type_, begin_ns_, monotonic_nanos(), a0_, a1_);
-  }
-  void set_args(std::uint64_t a0, std::uint64_t a1) {
-    a0_ = a0;
-    a1_ = a1;
-  }
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-
- private:
-  std::uint64_t begin_ns_ = 0;
-  std::uint64_t a0_ = 0;
-  std::uint64_t a1_ = 0;
-  Type type_{};
-  bool armed_ = false;
-};
 
 // --- snapshot / export -------------------------------------------------------
 
@@ -202,7 +143,7 @@ bool write_chrome_json(const std::string& path);
 /// last_flight_record().  No-op when tracing is disabled.  Called by the
 /// check subsystem on a violation and by fault on retry exhaustion; safe
 /// under their report locks (the tracer takes no locks that can point back).
-void dump_flight_record(const char* reason);
+void dump_flight_record(std::string_view reason);
 
 inline constexpr std::size_t kFlightRecordEvents = 32;
 

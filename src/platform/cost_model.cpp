@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "obs/telemetry.hpp"
 
 namespace ompmca::platform {
 
@@ -75,12 +74,6 @@ void TeamShape::derive(const Topology& topo) {
     const auto& hwt = topo.hw_thread(hw_[i]);
     ++core_occupancy[hwt.core];
     ++cluster_occupancy[topo.core(hwt.core).cluster];
-  }
-  obs::count(obs::Counter::kPlatformTeamShape);
-  if (obs::enabled()) {
-    for (unsigned c = 0; c < topo.num_clusters(); ++c) {
-      if (cluster_occupancy[c] > 0) obs::placement(c, cluster_occupancy[c]);
-    }
   }
   clusters_spanned_ = 0;
   max_cluster_occ_ = 1;

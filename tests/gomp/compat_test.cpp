@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 #include <vector>
+
+#include "gomp/api.hpp"
 
 namespace ompmca::gomp::compat {
 namespace {
@@ -91,6 +94,29 @@ void zero_incr_dynamic_body(void*) {
 }
 
 void end_without_start_body(void*) { GOMP_loop_end_nowait(); }
+
+struct WidthArgs {
+  std::atomic<int>* members;  // one per thread that ran the body
+  std::atomic<int>* widths;   // the team width, added once per region
+};
+void width_body(void* p) {
+  auto* args = static_cast<WidthArgs*>(p);
+  args->members->fetch_add(1);
+  if (omp_get_thread_num() == 0) args->widths->fetch_add(omp_get_num_threads());
+}
+
+struct NestArgs {
+  Runtime* expected;
+  std::atomic<int>* at_level_two;
+  std::atomic<int>* in_expected_runtime;
+};
+void nest_body(void* p) {
+  auto* args = static_cast<NestArgs*>(p);
+  if (gomp::omp_get_level() == 2) args->at_level_two->fetch_add(1);
+  if (&Runtime::current()->runtime() == args->expected) {
+    args->in_expected_runtime->fetch_add(1);
+  }
+}
 
 class CompatTest : public ::testing::Test {
  protected:
@@ -177,6 +203,46 @@ TEST_F(CompatTest, ResetRefusesWhileARegionIsInFlight) {
   EXPECT_EQ(refused.load(), 1);
   // Drained: the same call now succeeds.
   EXPECT_TRUE(gomp_compat_reset());
+}
+
+TEST_F(CompatTest, ConcurrentMastersForkThroughTheAbi) {
+  // Two application threads fork through GOMP_parallel at once, the first
+  // pair racing to create the runtime.  Every thread of every team runs
+  // the body exactly once, whatever width lease pressure granted.
+  constexpr int kRegions = 200;
+  std::atomic<int> members[2] = {0, 0};
+  std::atomic<int> widths[2] = {0, 0};
+  std::vector<std::thread> masters;
+  for (int m = 0; m < 2; ++m) {
+    masters.emplace_back([&, m] {
+      WidthArgs args{&members[m], &widths[m]};
+      for (int i = 0; i < kRegions; ++i) GOMP_parallel(width_body, &args, 0);
+    });
+  }
+  for (auto& t : masters) t.join();
+  for (int m = 0; m < 2; ++m) {
+    EXPECT_EQ(members[m].load(), widths[m].load()) << "master " << m;
+    EXPECT_GE(widths[m].load(), kRegions) << "master " << m;
+  }
+}
+
+TEST(CompatNesting, ParallelInsideAnotherRuntimesRegionNestsThere) {
+  // GOMP_parallel from inside a region forks a nested team of the runtime
+  // that region belongs to, not a top-level team of the compat runtime.
+  RuntimeOptions opts;
+  Icvs icvs;
+  icvs.num_threads = 2;
+  icvs.nested = true;
+  icvs.max_active_levels = 2;
+  opts.icvs = icvs;
+  Runtime rt(opts);
+  std::atomic<int> at_level_two{0};
+  std::atomic<int> in_rt{0};
+  NestArgs args{&rt, &at_level_two, &in_rt};
+  rt.parallel([&](ParallelContext&) { GOMP_parallel(nest_body, &args, 2); });
+  // Two outer threads, each forking a nested team of two.
+  EXPECT_EQ(at_level_two.load(), 4);
+  EXPECT_EQ(in_rt.load(), 4);
 }
 
 TEST_F(CompatTest, LoopAbiMisuseAbortsDeathTest) {

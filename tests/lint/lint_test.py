@@ -45,6 +45,7 @@ def test_seeded_tree():
 
     seeded = os.path.join("src", "common", "seeded_violations.cpp")
     gomp = os.path.join("src", "gomp", "seeded_seq_cst.cpp")
+    seam = os.path.join("src", "gomp", "seeded_obs_seam.cpp")
     expected = [
         (seeded, "[ignored-status]"),
         (seeded, "[hook-parity]"),   # acquire without release
@@ -52,6 +53,7 @@ def test_seeded_tree():
         (seeded, "[fault-parity]"),
         (seeded, "[no-tsa]"),
         (gomp, "[seq-cst]"),
+        (seam, "[obs-seam]"),
     ]
     for path, rule in set(expected):
         want = expected.count((path, rule))
@@ -66,6 +68,10 @@ def test_seeded_tree():
     # The justified seq_cst control in the same file must NOT be reported.
     check("justified-seq-cst-silent",
           sum(1 for l in lines if "[seq-cst]" in l) == 1, proc.stdout)
+    # The sinks' own direct calls inside src/obs must NOT be reported.
+    check("obs-sinks-inside-src-obs-silent",
+          not any(l.startswith(os.path.join("src", "obs", "")) for l in lines),
+          proc.stdout)
 
 
 def test_clean_tree():

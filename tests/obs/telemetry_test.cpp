@@ -12,6 +12,7 @@
 
 #include "gomp/gomp.hpp"
 #include "mrapi/mutex.hpp"
+#include "obs/event.hpp"
 
 namespace ompmca::obs {
 namespace {
@@ -22,14 +23,12 @@ TEST(Telemetry, DisabledHooksRecordNothing) {
   count(Counter::kGompParallel, 5);
   record(Hist::kGompParallelNs, 1234);
   gauge_max(Gauge::kGompTaskQueueDepthHwm, 42);
-  placement(1, 3);
-  { ScopedTimer t(Hist::kGompForNs); }
+  { Scope t(Event::kFor); }
   Snapshot s = Registry::instance().snapshot();
   EXPECT_EQ(s.counter(Counter::kGompParallel), 0u);
   EXPECT_EQ(s.hist(Hist::kGompParallelNs).count, 0u);
   EXPECT_EQ(s.hist(Hist::kGompForNs).count, 0u);
   EXPECT_EQ(s.gauge(Gauge::kGompTaskQueueDepthHwm), 0u);
-  EXPECT_EQ(s.placements[1], 0u);
 }
 
 TEST(Telemetry, CountersAccumulateAcrossThreads) {
@@ -131,10 +130,10 @@ TEST(Telemetry, GaugeKeepsHighWaterMark) {
   EXPECT_EQ(s.gauge(Gauge::kMrapiArenaBytesInUseHwm), 500u);
 }
 
-TEST(Telemetry, ScopedTimerRecordsPlausibleDuration) {
+TEST(Telemetry, ScopeRecordsPlausibleDuration) {
   ScopedEnable scope;
   {
-    ScopedTimer t(Hist::kMrapiArenaAllocateNs);
+    Scope t(Event::kArenaAllocate);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   Snapshot s = Registry::instance().snapshot();
@@ -148,14 +147,12 @@ TEST(Telemetry, JsonReportContainsAllSections) {
   count(Counter::kGompParallel, 3);
   record(Hist::kGompBarrierWaitCentralNs, 512);
   gauge_max(Gauge::kGompTaskQueueDepthHwm, 7);
-  placement(2, 4);
   std::string json = Registry::instance().json("unit-test");
   EXPECT_NE(json.find("\"tag\": \"unit-test\""), std::string::npos);
   EXPECT_NE(json.find("\"gomp.parallel\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"gomp.barrier_wait.central_ns\""), std::string::npos);
   EXPECT_NE(json.find("\"le_ns\": 1024, \"count\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"gomp.task_queue_depth_hwm\": 7"), std::string::npos);
-  EXPECT_NE(json.find("\"cluster2\": 4"), std::string::npos);
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
@@ -195,7 +192,7 @@ TEST(Telemetry, RuntimeDirectivesAreObserved) {
             s.counter(Counter::kGompBarrier));
   // Three pool workers were handed the region.
   EXPECT_EQ(s.counter(Counter::kGompPoolDispatch), 3u);
-  EXPECT_EQ(s.hist(Hist::kGompPoolDispatchNs).count, 3u);
+  EXPECT_EQ(s.hist(Hist::kGompDoorbellWakeNs).count, 3u);
 }
 
 TEST(Telemetry, WidthOneRegionSkipsPoolAndBarrier) {
@@ -294,13 +291,11 @@ TEST(Telemetry, ResetClearsEverything) {
   count(Counter::kGompParallel, 9);
   record(Hist::kGompForNs, 77);
   gauge_max(Gauge::kGompTaskQueueDepthHwm, 5);
-  placement(0, 2);
   Registry::instance().reset();
   Snapshot s = Registry::instance().snapshot();
   EXPECT_EQ(s.counter(Counter::kGompParallel), 0u);
   EXPECT_EQ(s.hist(Hist::kGompForNs).count, 0u);
   EXPECT_EQ(s.gauge(Gauge::kGompTaskQueueDepthHwm), 0u);
-  EXPECT_EQ(s.placements[0], 0u);
 }
 
 }  // namespace

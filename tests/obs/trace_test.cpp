@@ -18,6 +18,7 @@
 
 #include "check/check.hpp"
 #include "gomp/gomp.hpp"
+#include "obs/event.hpp"
 
 namespace ompmca::obs::trace {
 namespace {
@@ -176,10 +177,10 @@ TEST(Trace, DisabledModeEmitsZeroEvents) {
   set_mode(Mode::kOff);
   reset();
   EXPECT_FALSE(enabled());
-  instant(Type::kBarrier, 1, 2);
-  complete(Type::kFor, 123);
-  instant_at(Type::kForkRing, 456, 7, 8);
-  { Span span(Type::kParallel, 1, 2); }
+  emit(obs::Event::kBarrier, 1, 2);
+  emit_at(obs::Event::kFor, 123, 123);
+  emit_at(obs::Event::kForkRing, 456, 456, 7, 8);
+  { Scope scope(obs::Event::kParallel, 1, 2); }
   EXPECT_EQ(total_events(snapshot()), 0u);
   EXPECT_EQ(flight_record_count(), 0u);
   dump_flight_record("disabled");  // no-op while off
@@ -189,8 +190,9 @@ TEST(Trace, DisabledModeEmitsZeroEvents) {
 TEST(Trace, RingWrapPreservesNewestEvents) {
   ScopedTrace scoped(Mode::kRing, 64);
   ASSERT_EQ(ring_capacity(), 64u);
+  // A ring-mode event with two payload words (loop chunks are full-only).
   for (std::uint64_t i = 0; i < 200; ++i) {
-    instant(Type::kLoopChunk, i, i + 1);
+    emit(obs::Event::kShmemCreate, i, i + 1);
   }
   const auto threads = snapshot();
   const ThreadTrace* tt = active_thread(threads);
@@ -201,14 +203,14 @@ TEST(Trace, RingWrapPreservesNewestEvents) {
   // Only the newest 64 survive, in order.
   for (std::size_t i = 0; i < tt->events.size(); ++i) {
     EXPECT_EQ(tt->events[i].a0, 136 + i);
-    EXPECT_EQ(tt->events[i].type, Type::kLoopChunk);
+    EXPECT_EQ(tt->events[i].type, Type::kShmemCreate);
   }
 }
 
 TEST(Trace, FullModeArchivesEverything) {
   ScopedTrace scoped(Mode::kFull, 64);
   for (std::uint64_t i = 0; i < 200; ++i) {
-    instant(Type::kLoopChunk, i, i + 1);
+    emit(obs::Event::kLoopChunk, i, i + 1);
   }
   const auto threads = snapshot();
   const ThreadTrace* tt = active_thread(threads);
@@ -230,7 +232,7 @@ TEST(Trace, PerThreadOrderingIsMonotonic) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([] {
       for (std::uint64_t i = 0; i < kEvents; ++i) {
-        instant(Type::kMutexAcquire, i);
+        emit(obs::Event::kMutexLock, i);
       }
     });
   }
@@ -249,10 +251,10 @@ TEST(Trace, PerThreadOrderingIsMonotonic) {
   EXPECT_GE(active, static_cast<unsigned>(kThreads));
 }
 
-TEST(Trace, SpanRecordsDuration) {
+TEST(Trace, ScopeRecordsDuration) {
   ScopedTrace scoped(Mode::kRing);
   {
-    Span span(Type::kCritical);
+    Scope scope(obs::Event::kCritical);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   const auto threads = snapshot();
@@ -265,11 +267,12 @@ TEST(Trace, SpanRecordsDuration) {
 
 TEST(Trace, ExportedJsonParsesAndRoundTripsEventCounts) {
   ScopedTrace scoped(Mode::kRing);
-  instant(Type::kBarrier, 4);
-  complete(Type::kFor, monotonic_nanos() - 1000, 1);
-  instant(Type::kSteal, 3);
-  instant_at(Type::kForkRing, monotonic_nanos(), 42, 4);
-  instant(Type::kWorkerWake, 42);
+  emit(obs::Event::kBarrier, 4);
+  { Scope scope(obs::Event::kFor, 1); }
+  emit(obs::Event::kNodeCreate, 3);
+  const std::uint64_t ring_ns = monotonic_nanos();
+  emit_at(obs::Event::kForkRing, ring_ns, ring_ns, 42, 4);
+  emit(obs::Event::kWorkerWake, 42);
 
   const std::size_t snapshot_total = total_events(snapshot());
   ASSERT_EQ(snapshot_total, 5u);

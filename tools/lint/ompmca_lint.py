@@ -24,6 +24,11 @@ Rules (see DESIGN.md §12 for the catalog and rationale):
   no-tsa             Every OMPMCA_NO_TSA outside annotations.hpp needs a
                      `tsa:` justification comment within the 4 lines above it
                      (or on its own / the following line).
+  obs-seam           Outside src/obs, the runtime reports through the event
+                     seam (obs::Scope / obs::emit / obs::emit_at): a direct
+                     call to a sink — obs::count/record/gauge_max,
+                     trace::Span/instant/instant_at/complete,
+                     tenant::on_region/add_lease_wait — is flagged.
 
 Exit status: 0 when clean, 1 when any violation is reported, 2 on usage
 errors.  Each violation is reported exactly once as `file:line: [rule] msg`.
@@ -284,10 +289,35 @@ def check_no_tsa(root, files, out):
                 "4 lines above (or adjacent)"))
 
 
+# --- obs-seam ------------------------------------------------------------------
+
+SINK_CALL_RE = re.compile(
+    r"\bobs::(?:count|record|gauge_max)\s*\("
+    r"|\btrace::(?:instant|instant_at|complete)\s*\("
+    r"|\btrace::Span\b"
+    r"|\btenant::(?:on_region|add_lease_wait)\s*\(")
+
+
+def check_obs_seam(root, files, out):
+    for path in files:
+        rel = relpath(path, root)
+        if rel.replace(os.sep, "/").startswith("src/obs/"):
+            continue  # the seam and its sinks
+        for i, line in enumerate(read_lines(path)):
+            m = SINK_CALL_RE.search(line.split("//", 1)[0])
+            if m is None:
+                continue
+            out.append(Violation(
+                rel, i + 1, "obs-seam",
+                f"direct sink call `{m.group(0).rstrip('( ')}` outside "
+                f"src/obs; report an obs::Event through obs::Scope / "
+                f"obs::emit instead"))
+
+
 # --- driver --------------------------------------------------------------------
 
 ALL_RULES = ("ignored-status", "hook-parity", "fault-parity", "seq-cst",
-             "no-tsa")
+             "no-tsa", "obs-seam")
 
 
 def main(argv=None):
@@ -341,6 +371,8 @@ def main(argv=None):
         check_seq_cst(root, files, out)
     if "no-tsa" in rules:
         check_no_tsa(root, files, out)
+    if "obs-seam" in rules:
+        check_obs_seam(root, files, out)
 
     seen = set()
     unique = []
