@@ -46,11 +46,13 @@ echo "barrier (20 repeats): clean under TSan"
   --gtest_repeat=20 >/dev/null
 echo "wait paths (20 repeats): clean under TSan"
 # The workshare ring claim (first arriver's CAS, peers waiting on its
-# publication, threads a ring ahead parked on a draining slot) and the hot
-# teams reused across forks, repeated for the same reason.
-./build-tsan/tests/gomp/gomp_test --gtest_filter='*LoopClaim*:*HotTeam*' \
-  --gtest_repeat=20 >/dev/null
-echo "loop claims and hot teams (20 repeats): clean under TSan"
+# publication, threads a ring ahead parked on a draining slot), the hot
+# teams reused across forks, and the retained dispatch slots and leases
+# behind them (re-forks, width changes, revocation by other masters,
+# orphaned retentions, teardown), repeated for the same reason.
+./build-tsan/tests/gomp/gomp_test \
+  --gtest_filter='*LoopClaim*:*HotTeam*:*Retain*' --gtest_repeat=20 >/dev/null
+echo "loop claims, hot teams and retained dispatch (20 repeats): clean under TSan"
 # The MRAPI mutex's state word (spinning and parked hand-offs, timed and
 # recursive lockers, retire() waking parked waiters) and the constructs on
 # top of it: critical, and reductions combined by the barrier's last
@@ -88,8 +90,8 @@ OMPMCA_CHECK_ABORT=1 ./build-check/tests/gomp/gomp_test \
   --gtest_filter='*WaitPath*:*LateArriver*' --gtest_repeat=20 >/dev/null
 echo "wait paths (20 repeats): clean under checker"
 OMPMCA_CHECK_ABORT=1 ./build-check/tests/gomp/gomp_test \
-  --gtest_filter='*LoopClaim*:*HotTeam*' --gtest_repeat=20 >/dev/null
-echo "loop claims and hot teams (20 repeats): clean under checker"
+  --gtest_filter='*LoopClaim*:*HotTeam*:*Retain*' --gtest_repeat=20 >/dev/null
+echo "loop claims, hot teams and retained dispatch (20 repeats): clean under checker"
 # The Mutex suite seeds double unlocks, wrong-owner and out-of-order
 # releases and stale-handle locks on purpose, so here the checker reports
 # (as in the ctest pass above) instead of aborting.

@@ -24,6 +24,26 @@ RuntimeOptions g_options OMPMCA_GUARDED_BY(g_mu);
 bool g_configured OMPMCA_GUARDED_BY(g_mu) = false;
 // g_runtime.get() once created, nullptr before and after a reset.
 std::atomic<Runtime*> g_published{nullptr};
+// Top-level GOMP_parallel calls between resolving the runtime and
+// returning from its region; gomp_compat_reset() refuses while nonzero.
+std::atomic<unsigned> g_forks_in_flight{0};
+
+/// RAII share of g_forks_in_flight (exception-safe: a throwing body must
+/// not leave the reset guard stuck).
+class ForkInFlight {
+ public:
+  ForkInFlight() {
+    // seq_cst: entry half of the Dekker pair with gomp_compat_reset() —
+    // the raise precedes this entry's load of g_published.
+    g_forks_in_flight.fetch_add(1, std::memory_order_seq_cst);
+  }
+  ~ForkInFlight() {
+    // release: a reset that reads the drop sees the whole region retired.
+    g_forks_in_flight.fetch_sub(1, std::memory_order_release);
+  }
+  ForkInFlight(const ForkInFlight&) = delete;
+  ForkInFlight& operator=(const ForkInFlight&) = delete;
+};
 
 Runtime& runtime_locked() OMPMCA_REQUIRES(g_mu) {
   if (g_runtime == nullptr) {
@@ -128,14 +148,20 @@ Runtime& gomp_compat_runtime() {
 
 bool gomp_compat_reset() {
   MutexLock lk(g_mu);
-  if (g_runtime != nullptr && g_runtime->regions_in_flight() > 0) {
-    // A region is mid-flight on some application thread: tearing the
-    // runtime down now would free the pool and its dispatch slots out
-    // from under live workers.  Refuse; the caller retries after its
-    // masters drain.
-    return false;
+  if (g_runtime != nullptr) {
+    // seq_cst: unpublish, then read the fork count — the reset half of
+    // the Dekker pair with GOMP_parallel: a fork that raised the count
+    // after this read loads the cleared pointer and creates a new runtime
+    // under g_mu, and one that raised it before is seen here.
+    g_published.store(nullptr, std::memory_order_seq_cst);
+    if (g_forks_in_flight.load(std::memory_order_seq_cst) != 0) {
+      // A fork resolved this runtime and has not returned: tearing it down
+      // now would free the pool and its dispatch slots out from under live
+      // workers.  Refuse; the caller retries after its masters drain.
+      g_published.store(g_runtime.get(), std::memory_order_release);
+      return false;
+    }
   }
-  g_published.store(nullptr, std::memory_order_relaxed);
   g_runtime.reset();
   g_configured = false;
   g_options = RuntimeOptions{};
@@ -143,8 +169,21 @@ bool gomp_compat_reset() {
 }
 
 void GOMP_parallel(void (*fn)(void*), void* data, unsigned num_threads) {
-  entry_runtime().parallel([fn, data](ParallelContext&) { fn(data); },
-                           num_threads);
+  auto body = [fn, data](ParallelContext&) { fn(data); };
+  if (ParallelContext* ctx = Runtime::current()) {
+    // Nested: the enclosing region keeps its runtime alive (and, for the
+    // compat runtime, its own fork holds the count).
+    ctx->runtime().parallel(body, num_threads);
+    return;
+  }
+  ForkInFlight in_flight;
+  // seq_cst: entry half of the Dekker pair with gomp_compat_reset().
+  Runtime* rt = g_published.load(std::memory_order_seq_cst);
+  if (rt == nullptr) {
+    MutexLock lk(g_mu);
+    rt = &runtime_locked();
+  }
+  rt->parallel(body, num_threads);
 }
 
 void GOMP_barrier() { current_ctx().barrier(); }

@@ -30,8 +30,10 @@ Runtime& gomp_compat_runtime();
 
 /// Tears the default runtime down (tests; not part of the real ABI).
 /// Refuses — returning false and leaving the runtime up — while any
-/// parallel region is still in flight: destroying the Runtime then would
-/// free the pool and its dispatch slots out from under live workers.
+/// GOMP_parallel is between resolving the runtime and returning from its
+/// region: destroying the Runtime then would free the pool and its
+/// dispatch slots out from under live workers.  Regions forked through
+/// gomp_compat_runtime().parallel() directly are not counted.
 bool gomp_compat_reset();
 
 // --- parallel ----------------------------------------------------------------

@@ -68,6 +68,29 @@ Status launch_worker_with_retry(SystemBackend& backend, unsigned index,
   }
 }
 
+/// Process-unique pool ids (see ThreadPool::serial_).
+std::atomic<std::uint64_t> g_pool_serial{0};
+
+/// The calling thread's master token: the value a slot it retains holds.
+/// Unique per thread for the process lifetime, so a retention can only be
+/// resumed by the thread that left it.
+std::uint64_t master_token() {
+  static std::atomic<std::uint64_t> next{2};
+  static thread_local const std::uint64_t token =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return token;
+}
+
+/// The calling thread's one retained slot: which pool, which slot.  One
+/// entry, not a list: a thread forking on many runtimes in turn (one per
+/// benchmark epoch) would otherwise grow it without bound.  A retention
+/// the hint no longer names is orphaned until another master revokes it.
+struct RetainHint {
+  std::uint64_t pool = 0;
+  int slot = -1;
+};
+thread_local RetainHint t_retained;
+
 }  // namespace
 
 #define OMPMCA_POOL_GUARD(cond, what)       \
@@ -80,6 +103,7 @@ ThreadPool::ThreadPool(SystemBackend& backend, WaitPolicy wait_policy,
     : backend_(backend),
       wait_policy_(wait_policy),
       max_workers_(std::min(max_workers, kMaxWorkers)),
+      serial_(g_pool_serial.fetch_add(1, std::memory_order_relaxed) + 1),
       slots_free_((1u << kMaxSlots) - 1),
       workers_free_(max_workers_ >= 64 ? ~std::uint64_t{0}
                                        : (std::uint64_t{1} << max_workers_) - 1) {
@@ -102,9 +126,13 @@ ThreadPool::~ThreadPool() {
   // Before any teardown: unregister blocks until an in-progress probe
   // returns, so the monitor can never walk a dying pool's slots.
   obs::monitor::unregister_stall_source(this);
-  // seq_cst: pairs with each bell Parker's Dekker protocol — the exit flag
-  // must be globally ordered against the workers' park sequence.
-  exit_.store(true, std::memory_order_seq_cst);
+  // Every region has joined, so every worker waits on its mailbox: the
+  // exit word is its last assignment.  Same Dekker pairing as the ring
+  // (see start_team): release stores, one seq_cst fence, sleeper checks.
+  for (auto& bell : bells_) {
+    bell->assign.store(kExitAssign, std::memory_order_release);
+  }
+  seq_cst_fence();
   for (auto& bell : bells_) bell->parker.wake();
   const std::uint64_t launched = launched_mask_.load(std::memory_order_relaxed);
   for (unsigned i = 0; i < max_workers_; ++i) {
@@ -125,39 +153,47 @@ ThreadPool::Dispatch::~Dispatch() {
 }
 
 void ThreadPool::worker_loop(Bell& bell, std::uint64_t seen) {
-  // The mailbox spin window for the next wait, and when this worker last
-  // went idle (0 = never served a region).  A worker spins only once a
-  // region came back within its team's window of the previous one; until
-  // then — fresh, or idle past the window — it parks at once.
+  // The mailbox spin window for the next wait, and whether this worker has
+  // served a region yet.  A worker spins only once a region came back
+  // within its team's window of the previous one; until then — fresh, or
+  // idle past the window — it parks at once.
   std::uint64_t spin_ns = 0;
-  std::uint64_t idle_since = 0;
+  bool served = false;
   for (;;) {
     std::uint64_t a = seen;
-    spin_then_park(spin_ns, bell.parker, [&] {
-      // seq_cst: worker half of the bell Parker's Dekker pair — the master
-      // stores the mailbox (or exit_) seq_cst before its sleeper check.
-      a = bell.assign.load(std::memory_order_seq_cst);
-      return a != seen || exit_.load(std::memory_order_seq_cst);
-    });
-    if (exit_.load(std::memory_order_acquire)) return;
+    std::uint64_t parked_ns = 0;
+    const bool parked = spin_then_park(
+        spin_ns, bell.parker,
+        [&] {
+          // seq_cst: worker half of the bell Parker's Dekker pair — the
+          // master fences its mailbox stores before its sleeper check.
+          a = bell.assign.load(std::memory_order_seq_cst);
+          return a != seen;
+        },
+        &parked_ns);
+    if (a == kExitAssign) return;
     seen = a;
     // A leased worker's mailbox changes at most once per lease: the next
     // master can only write it after this worker's join retired the lease.
     // So every observed word is exactly one region to serve.
     DispatchSlot& slot = slots_[assign_slot(a)];
     const unsigned tid = assign_tid(a);
-    const std::uint64_t now = monotonic_nanos();
     // Read before the join decrement below: the slot belongs to the next
     // master after that.
     const std::uint64_t team_spin_ns = slot.spin_ns;
-    const bool hot = idle_since != 0 && now - idle_since <= team_spin_ns;
+    // The hot-spin gate, judged without a clock read unless the wait
+    // parked: a wait that never parked ended inside the spin window; one
+    // that parked after spinning the window did not; one that parked at
+    // once measured the idle gap while it slept.
+    const bool hot =
+        served && (!parked || (spin_ns == 0 && parked_ns <= team_spin_ns));
+    served = true;
     if (slot.dispatch_start_ns != 0) {
       // dispatch_start_ns is armed by start_team when a sink of the wake is
-      // on; the wake reuses the timestamp above.  Its trace instant is the
-      // flow-arrow target fork_ring (master) -> worker_wake, keyed by the
-      // global dispatch sequence the mailbox word carries.
-      obs::emit_at(obs::Event::kWorkerWake, slot.dispatch_start_ns, now,
-                   assign_seq(a));
+      // on.  Its trace instant is the flow-arrow target fork_ring (master)
+      // -> worker_wake, keyed by the region key the mailbox word carries.
+      obs::emit_at(obs::Event::kWorkerWake, slot.dispatch_start_ns,
+                   monotonic_nanos(), assign_key(a));
     }
     // Heartbeat parity for the stall watchdog: capture armed() once so both
     // bumps happen or neither — a monitor started or stopped mid-region
@@ -165,7 +201,7 @@ void ThreadPool::worker_loop(Bell& bell, std::uint64_t seen) {
     const bool hb = obs::monitor::armed();
     if (hb) bell.heartbeat.fetch_add(1, std::memory_order_relaxed);
     {
-      obs::Scope work(obs::Event::kWorkerWork, assign_seq(a));
+      obs::Scope work(obs::Event::kWorkerWork, assign_key(a));
       slot.work(tid);
     }
     if (hb) bell.heartbeat.fetch_add(1, std::memory_order_relaxed);
@@ -176,7 +212,6 @@ void ThreadPool::worker_loop(Bell& bell, std::uint64_t seen) {
     if (slot.active.fetch_sub(1, std::memory_order_seq_cst) == 1) {
       slot.done.wake();
     }
-    idle_since = monotonic_nanos();
   }
 }
 
@@ -189,15 +224,79 @@ int ThreadPool::claim_slot() {
     if (slots_free_.compare_exchange_weak(free, free & ~(1u << s),
                                           std::memory_order_acq_rel,
                                           std::memory_order_acquire)) {
+      // The slot bit is this master's alone, so a plain store suffices.
+      slots_[s].state.store(kSlotInFlight, std::memory_order_relaxed);
       return s;
     }
   }
   return -1;
 }
 
-void ThreadPool::release_slot(int slot) {
-  // release: publishes this region's teardown to the slot's next claimant.
+void ThreadPool::release_slot(int slot, std::uint64_t lease) {
+  // Lease first (its workers have retired — their join decrements, or the
+  // retaining master's, are ordered before this), then the slot, whose
+  // release fetch_or publishes everything to the next claimant.
+  release_lease(lease);
+  slots_[slot].state.store(kSlotFree, std::memory_order_relaxed);
   slots_free_.fetch_or(1u << slot, std::memory_order_release);
+}
+
+bool ThreadPool::resume_retained(Dispatch& d) {
+  RetainHint& hint = t_retained;
+  if (hint.pool != serial_ || hint.slot < 0) return false;
+  const int s = hint.slot;
+  hint.slot = -1;
+  DispatchSlot& slot = slots_[s];
+  std::uint64_t mine = master_token();
+  // acquire: this thread wrote what the slot keeps, but the state word is
+  // the one place a revoker could have changed it; a failed CAS means it
+  // did, and the slot is no longer this master's.
+  if (!slot.state.compare_exchange_strong(mine, kSlotInFlight,
+                                          std::memory_order_acquire,
+                                          std::memory_order_relaxed)) {
+    return false;
+  }
+  if (slot.width != d.wanted_) {
+    // A width change gives the kept slot and lease back; the fork then
+    // claims and leases afresh.
+    release_slot(s, slot.lease);
+    return false;
+  }
+  d.slot_ = s;
+  d.lease_ = slot.lease;
+  d.width_ = slot.width;
+  return true;
+}
+
+bool ThreadPool::revoke_one() {
+  for (unsigned s = 0; s < kMaxSlots; ++s) {
+    DispatchSlot& slot = slots_[s];
+    std::uint64_t state = slot.state.load(std::memory_order_relaxed);
+    if (state < kFirstToken) continue;
+    // acquire: pairs with the retaining wait_team's release store, so the
+    // kept lease read below (and the owner's teardown) is visible.
+    if (slot.state.compare_exchange_strong(state, kSlotFree,
+                                           std::memory_order_acquire,
+                                           std::memory_order_relaxed)) {
+      release_slot(static_cast<int>(s), slot.lease);
+      return true;
+    }
+  }
+  return false;
+}
+
+bool ThreadPool::peer_in_flight(int self) const {
+  // seq_cst fence: the caller's own in-flight store (or CAS) precedes these
+  // loads in the single total order, and a peer doing the same sees this
+  // master — two regions overlapping are witnessed at least once.
+  seq_cst_fence();
+  for (unsigned s = 0; s < kMaxSlots; ++s) {
+    if (static_cast<int>(s) != self &&
+        slots_[s].state.load(std::memory_order_relaxed) == kSlotInFlight) {
+      return true;
+    }
+  }
+  return false;
 }
 
 std::uint64_t ThreadPool::pick_bits(std::uint64_t avail, unsigned wanted) {
@@ -209,14 +308,13 @@ std::uint64_t ThreadPool::pick_bits(std::uint64_t avail, unsigned wanted) {
   return pick;
 }
 
-std::uint64_t ThreadPool::try_lease(unsigned wanted) {
+std::uint64_t ThreadPool::try_lease(unsigned wanted, std::uint64_t mask) {
   if (wanted == 0) return 0;
   for (;;) {
     // acquire: pairs with release_lease, so a re-leased worker's mailbox
     // write happens-after its previous master's join retired it.
     std::uint64_t avail = workers_free_.load(std::memory_order_acquire);
-    if (avail == 0) return 0;
-    const std::uint64_t pick = pick_bits(avail, wanted);
+    const std::uint64_t pick = pick_bits(avail & mask, wanted);
     if (pick == 0) return 0;
     if (workers_free_.compare_exchange_weak(avail, avail & ~pick,
                                             std::memory_order_acq_rel,
@@ -227,8 +325,23 @@ std::uint64_t ThreadPool::try_lease(unsigned wanted) {
 }
 
 std::uint64_t ThreadPool::lease_workers(unsigned wanted) {
-  std::uint64_t lease = try_lease(wanted);
-  unsigned got = popcount64(lease);
+  std::uint64_t lease = 0;
+  unsigned got = 0;
+  // Parked workers first; a kept lease is revoked before a worker is
+  // launched, so retention never grows the pool.
+  auto top_up = [&] {
+    const std::uint64_t launched =
+        launched_mask_.load(std::memory_order_relaxed);
+    lease |= try_lease(wanted - got, launched);
+    got = popcount64(lease);
+    while (got < wanted && revoke_one()) {
+      lease |= try_lease(wanted - got, launched);
+      got = popcount64(lease);
+    }
+    lease |= try_lease(wanted - got, ~std::uint64_t{0});
+    got = popcount64(lease);
+  };
+  top_up();
   if (got < wanted && lease_wait_ns_ > 0) {
     // Bounded wait-then-degrade: a short grace window lets a peer master's
     // join return its lease (server-shaped regions are brief), but a master
@@ -241,8 +354,7 @@ std::uint64_t ThreadPool::lease_workers(unsigned wanted) {
     Backoff backoff;
     do {
       backoff.pause();
-      lease |= try_lease(wanted - got);
-      got = popcount64(lease);
+      top_up();
       now = monotonic_nanos();
     } while (got < wanted && now - t0 < lease_wait_ns_);
     obs::emit_at(obs::Event::kLeaseWait, t0, now);  // this master's tenant
@@ -287,36 +399,40 @@ std::uint64_t ThreadPool::ensure_launched(std::uint64_t lease) {
   return lease;
 }
 
-unsigned ThreadPool::prepare(Dispatch& d, unsigned nthreads,
-                             unsigned level) {
+unsigned ThreadPool::prepare(Dispatch& d, unsigned nthreads, unsigned level,
+                             bool retain) {
   OMPMCA_POOL_GUARD(d.slot_ == -1 && !d.started_,
                     "prepare() on a dispatch already in flight");
   d.pool_ = this;
   d.lease_ = 0;
   d.width_ = 1;
   d.level_ = level;
+  d.retain_ = retain;
   if (nthreads <= 1) return 1;
+  const unsigned extra = std::min(nthreads - 1, max_workers_);
+  d.wanted_ = 1 + extra;
 
-  const int slot = claim_slot();
-  if (slot < 0) {
-    // All kMaxSlots regions already in flight: degrade this tenant to a
-    // serialized region rather than block it on a stranger's join.
-    obs::emit(obs::Event::kLeaseDegraded);
-    return 1;
+  if (!(retain && resume_retained(d))) {
+    int slot = claim_slot();
+    // All kMaxSlots slots in flight or retained: take a retained one back
+    // before this tenant serializes.
+    while (slot < 0 && revoke_one()) slot = claim_slot();
+    if (slot < 0) {
+      // Every slot is in flight: degrade this tenant to a serialized
+      // region rather than block it on a stranger's join.
+      obs::emit(obs::Event::kLeaseDegraded);
+      return 1;
+    }
+    d.slot_ = slot;
+    const std::uint64_t lease = ensure_launched(lease_workers(extra));
+    d.lease_ = lease;
+    d.width_ = 1 + popcount64(lease);
   }
-  d.slot_ = slot;
-  // in_flight_ is the multiplex witness: a second region dispatched while
-  // another master's is still running is exactly the state the old
-  // single-slab pool corrupted.
-  if (in_flight_.fetch_add(1, std::memory_order_relaxed) > 0) {
+  // The multiplex witness: a region dispatched while another master's is
+  // still running is exactly the state the old single-slab pool corrupted.
+  if (obs::on(obs::Event::kTeamMultiplexed) && peer_in_flight(d.slot_)) {
     obs::emit(obs::Event::kTeamMultiplexed);
   }
-
-  const unsigned extra = std::min(nthreads - 1, max_workers_);
-  const std::uint64_t lease =
-      ensure_launched(lease_workers(extra));
-  d.lease_ = lease;
-  d.width_ = 1 + popcount64(lease);
   return d.width_;
 }
 
@@ -328,7 +444,8 @@ void ThreadPool::start_team(Dispatch& d, unsigned nthreads,
                     "start_team() wider than the prepared lease");
   d.started_ = true;
   if (d.slot_ < 0) return;
-  DispatchSlot& slot = slots_[static_cast<unsigned>(d.slot_)];
+  const unsigned s = static_cast<unsigned>(d.slot_);
+  DispatchSlot& slot = slots_[s];
   const unsigned extra = nthreads > 0 ? nthreads - 1 : 0;
 
   // Pseudo-lock held by the master across the fork..join window: it gives
@@ -341,9 +458,8 @@ void ThreadPool::start_team(Dispatch& d, unsigned nthreads,
   // later fork in the opposite slot order into a false pool -> pool cycle.
   // Levels only ever deepen, so pool -> pool edges can never close one.
   OMPMCA_CHECK_ACQUIRE(check::LockClass::kGompPool, &slot, d.level_);
-  const std::uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const std::uint64_t key = region_key(++slot.seq, s);
   slot.work = fn;
-  slot.seq = seq;
   slot.dispatch_start_ns =
       obs::on(obs::Event::kWorkerWake) ? monotonic_nanos() : 0;
   slot.active.store(extra, std::memory_order_relaxed);
@@ -352,7 +468,7 @@ void ThreadPool::start_team(Dispatch& d, unsigned nthreads,
     // Watchdog arm: mirrors first, then the start timestamp (release,
     // paired with the probe's acquire) so a probe that sees the region
     // in flight sees *this* region's identity, not the previous owner's.
-    slot.mon_seq.store(seq, std::memory_order_relaxed);
+    slot.mon_seq.store(key, std::memory_order_relaxed);
     slot.mon_master.store(obs::tenant::current_id(), std::memory_order_relaxed);
     slot.mon_lease.store(d.lease_, std::memory_order_relaxed);
     slot.mon_start_ns.store(
@@ -370,20 +486,27 @@ void ThreadPool::start_team(Dispatch& d, unsigned nthreads,
   for (unsigned tid = 1; tid <= extra && rest != 0; ++tid) {
     const unsigned index = lowest_bit(rest);
     rest &= rest - 1;
-    // seq_cst: the doorbell ring itself — master half of the per-bell
-    // Dekker pair (mailbox store ordered before the sleeping load in the
-    // ring pass below).
-    bells_[index]->assign.store(
-        pack_assign(seq, static_cast<unsigned>(d.slot_), tid),
-        std::memory_order_seq_cst);
+    // release: the doorbell ring itself — publishes the descriptor above
+    // to the worker's acquire (seq_cst) mailbox load.
+    bells_[index]->assign.store((key << kTidBits) | tid,
+                                std::memory_order_release);
     to_ring |= std::uint64_t{1} << index;
   }
   if (slot.dispatch_start_ns != 0 && extra > 0) {
     // The mailbox stores above ARE the doorbell ring; stamp them with the
     // same timestamp the wake-latency probes use so flow arrows line up.
     obs::emit_at(obs::Event::kForkRing, slot.dispatch_start_ns,
-                 slot.dispatch_start_ns, seq, extra + 1);
+                 slot.dispatch_start_ns, key, extra + 1);
   }
+  if (to_ring == 0) return;
+  // Master half of each bell's Dekker pair, one fence for the whole ring:
+  // a worker raises its Parker's sleeper count (seq_cst RMW) and then
+  // re-loads its mailbox (seq_cst).  If our sleeper load below missed that
+  // rise, the load precedes the rise in the total order, so this fence
+  // does too, and so does the worker's re-load; the re-load then follows
+  // the fence, which follows our mailbox store — so it reads the new word
+  // and the worker never sleeps through its ring.
+  seq_cst_fence();
   // Targeted ring: only the participants that actually sleep pay for a
   // wake — a worker still inside its spin window costs no syscall.
   while (to_ring != 0) {
@@ -399,7 +522,8 @@ void ThreadPool::wait_team(Dispatch& d, FunctionRef<void()> on_joined) {
   DispatchSlot* slot =
       d.slot_ >= 0 ? &slots_[static_cast<unsigned>(d.slot_)] : nullptr;
   if (slot != nullptr && slot->active.load(std::memory_order_acquire) != 0) {
-    obs::Scope join(obs::Event::kJoinWait, slot->seq);
+    obs::Scope join(obs::Event::kJoinWait,
+                    region_key(slot->seq, static_cast<unsigned>(d.slot_)));
     // The join is the region's end rendezvous: the workers' own region
     // tails (body imbalance, task drain) are what is outstanding.
     spin_then_park(slot->spin_ns, slot->done, [&] {
@@ -417,13 +541,17 @@ void ThreadPool::wait_team(Dispatch& d, FunctionRef<void()> on_joined) {
       slot->mon_start_ns.store(0, std::memory_order_relaxed);
     }
     OMPMCA_CHECK_RELEASE(check::LockClass::kGompPool, slot);
-    // Teardown order: lease first (the workers have retired — their
-    // decrements are what the join above observed), then the multiplex
-    // witness, then the slot, whose release fetch_or publishes everything
-    // to the next claimant.
-    release_lease(d.lease_);
-    in_flight_.fetch_sub(1, std::memory_order_relaxed);
-    release_slot(d.slot_);
+    if (d.retain_ && d.width_ > 1 && d.width_ == d.wanted_) {
+      // Keep slot and lease for this master's next fork.  release: pairs
+      // with a revoker's acquire CAS, so the kept lease and everything the
+      // region and on_joined wrote are visible to whoever takes the slot.
+      slot->lease = d.lease_;
+      slot->width = d.width_;
+      slot->state.store(master_token(), std::memory_order_release);
+      t_retained = RetainHint{serial_, d.slot_};
+    } else {
+      release_slot(d.slot_, d.lease_);
+    }
   }
   d.lease_ = 0;
   d.slot_ = -1;

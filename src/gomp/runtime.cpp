@@ -69,25 +69,6 @@ std::map<std::uint64_t, std::vector<platform::Work>>& last_meters_map() {
 
 std::atomic<std::uint64_t> g_runtime_serial{0};
 
-/// RAII witness of a region in flight (exception-safe: a throwing body
-/// must not leave the reset guard stuck).
-class RegionInFlight {
- public:
-  explicit RegionInFlight(std::atomic<unsigned>& counter) : counter_(counter) {
-    counter_.fetch_add(1, std::memory_order_relaxed);
-  }
-  ~RegionInFlight() {
-    // release: pairs with regions_in_flight()'s acquire load — a reader
-    // seeing 0 sees the whole region retired.
-    counter_.fetch_sub(1, std::memory_order_release);
-  }
-  RegionInFlight(const RegionInFlight&) = delete;
-  RegionInFlight& operator=(const RegionInFlight&) = delete;
-
- private:
-  std::atomic<unsigned>& counter_;
-};
-
 std::unique_ptr<SystemBackend> make_backend(const RuntimeOptions& opts) {
   if (opts.backend_factory) return opts.backend_factory();
   switch (opts.backend) {
@@ -231,9 +212,6 @@ ParallelContext* Runtime::current() { return t_current_; }
 void Runtime::parallel(FunctionRef<void(ParallelContext&)> body,
                        unsigned num_threads) {
   obs::Scope event(obs::Event::kParallel);
-  // Marks this runtime busy for the whole region, so gomp_compat_reset()
-  // can refuse to destroy it out from under a live team.
-  RegionInFlight in_flight(regions_in_flight_);
   unsigned n = resolve_num_threads(num_threads);
   ParallelContext* outer = current();
   const bool nested = outer != nullptr;
@@ -261,12 +239,14 @@ void Runtime::parallel(FunctionRef<void(ParallelContext&)> body,
   // tenant, or a team thread forking a nested region — claims a slot and
   // leases parked workers first: the returned width reflects launch
   // failures *and* lease/slot pressure, so the team (and its barrier) never
-  // waits on a thread that does not exist.
+  // waits on a thread that does not exist.  A top-level master retains its
+  // slot and lease for its next fork of the same width.
   const unsigned requested = n;
   const std::uint64_t fork_t0 =
       !nested && obs::on(obs::Event::kTenantRegion) ? monotonic_nanos() : 0;
   ThreadPool::Dispatch dispatch;
-  n = pool_->prepare(dispatch, n, nested ? outer->level() + 1 : 1);
+  n = pool_->prepare(dispatch, n, nested ? outer->level() + 1 : 1,
+                     /*retain=*/!nested);
   // A top-level region runs on its slot's hot team when the width matches;
   // nested regions, and any width change, build a fresh team.
   std::optional<Team> fresh;
@@ -292,8 +272,8 @@ void Runtime::parallel(FunctionRef<void(ParallelContext&)> body,
                  n < requested ? 1 : 0);
   }
   thread_fn(0);
-  // Finish before the slot is released: from then on a hot team belongs
-  // to the slot's next owner.
+  // Finish before the slot is released or retained: from then on a hot
+  // team belongs to whoever holds the slot next.
   pool_->wait_team(dispatch, [team] { team->finish(); });
 }
 

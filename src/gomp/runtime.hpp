@@ -93,12 +93,6 @@ class Runtime {
   /// discard the region's changes at region end, per spec.
   std::optional<EnvIcvs> swap_env_override(std::optional<EnvIcvs> next);
 
-  /// Regions currently executing in this runtime (any nesting level); the
-  /// compat layer refuses to tear the runtime down while this is nonzero.
-  unsigned regions_in_flight() const {
-    return regions_in_flight_.load(std::memory_order_acquire);
-  }
-
   // --- services used by ParallelContext ------------------------------------------
   /// Mutex backing critical(@p name); created through the backend on first
   /// use (Listing 4's gomp_mutex path).
@@ -129,7 +123,6 @@ class Runtime {
   /// overrides (several runtimes coexist; a plain thread_local member
   /// would alias them).
   const std::uint64_t serial_;
-  std::atomic<unsigned> regions_in_flight_{0};
 
   RuntimeOptions opts_;
   std::unique_ptr<SystemBackend> backend_;
@@ -139,8 +132,9 @@ class Runtime {
   std::unique_ptr<ThreadPool> pool_;
   // The hot team of each dispatch slot: the last top-level team forked
   // through it, reused by the slot's next top-level region of the same
-  // width.  Built on first use; only the slot's current owner (prepare to
-  // wait_team) touches its entry.
+  // width — back to back when the master retains the slot.  Built on first
+  // use; only the slot's current owner (prepare to wait_team) touches its
+  // entry.
   std::array<std::unique_ptr<Team>, ThreadPool::kMaxSlots> hot_teams_;
 
   CapMutex critical_mu_;

@@ -35,6 +35,11 @@ void TaskSystem::clear_dep_table() {
 }
 
 void TaskSystem::reset() {
+  // A region that queued no task left the epoch at zero and the dependence
+  // table empty (its first dependent task had no predecessor, so it was
+  // queued): skip the store that would dirty the line every thread's drain
+  // loads, and the lock.
+  if (progress_.load(std::memory_order_relaxed) == 0) return;
   progress_.store(0, std::memory_order_relaxed);
   clear_dep_table();
 }

@@ -103,7 +103,12 @@ void Team::finish() {
 
 void Team::reset() {
   inherited_env_ = rt_.env_icvs();
-  single_counter_.store(0, std::memory_order_relaxed);
+  // The single counter, the ring claims and the task system are written
+  // only when the last region changed them: an untouched line stays clean
+  // in the caches of the threads that load it next region.
+  if (single_counter_.load(std::memory_order_relaxed) != 0) {
+    single_counter_.store(0, std::memory_order_relaxed);
+  }
   for (auto& m : meters_) m.value = platform::Work{};
   for (LoopInstance& loop : loops_) loop.reset();
   for (SectionsInstance& ws : sections_) ws.reset();

@@ -232,8 +232,8 @@ class Team {
   /// Readies a finished top-level team for the master's next region of the
   /// same width: resets everything a region changes that a fresh Team
   /// starts with — the inherited env ICVs, the single counter, the meters,
-  /// the workshare rings and the task system.  Master-only, between
-  /// regions.
+  /// the workshare rings and the task system — writing only what the last
+  /// region changed.  Master-only, between regions.
   void reset();
 
   TaskSystem& tasks() { return tasks_; }

@@ -64,9 +64,10 @@ class Parker {
     sleepers_.fetch_sub(1, std::memory_order_relaxed);
   }
 
-  /// Waker half: call after the seq_cst store that makes the waiters'
-  /// predicate true.  Either a waiter's re-check sees that store, or this
-  /// load sees its sleepers_ rise — never neither.
+  /// Waker half: call after the seq_cst store (or the store and a
+  /// seq_cst_fence()) that makes the waiters' predicate true.  Either a
+  /// waiter's re-check sees that store, or this load sees its sleepers_
+  /// rise — never neither.
   void wake() {
     // seq_cst: waker half of the Dekker pair with park().
     if (sleepers_.load(std::memory_order_seq_cst) == 0) return;
@@ -90,18 +91,39 @@ class Parker {
 /// spinner hands its core to a runnable peer well within a microsecond.
 inline constexpr unsigned kSpinBurst = 16;
 
+/// A seq_cst fence.  Wakers that publish several waiters' predicates with
+/// release stores run one of these before their Parker::wake() calls, in
+/// place of a seq_cst store per waiter (see ThreadPool::start_team).
+inline void seq_cst_fence() {
+#if defined(__GNUC__) && !defined(__clang__) && defined(__SANITIZE_THREAD__)
+  // GCC warns that TSan does not model fences.  It needs no model here:
+  // every hand-off the fence orders is also a release/acquire pair, which
+  // is what TSan checks; the fence only closes the Dekker window.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wtsan"
+#endif
+  // seq_cst: the fence's whole purpose (see the comment above).
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+#if defined(__GNUC__) && !defined(__clang__) && defined(__SANITIZE_THREAD__)
+#pragma GCC diagnostic pop
+#endif
+}
+
 /// Waits until @p ready() holds: spins up to @p window_ns (yielding after
 /// every kSpinBurst pauses), then parks on @p parker.  ready() is polled
 /// often and must be cheap; it must load its state seq_cst (see Parker).
+/// Returns whether the wait parked; when it did and @p parked_ns is given,
+/// stores how long it slept (the only clock reads a zero window costs).
 template <typename Ready>
-void spin_then_park(std::uint64_t window_ns, Parker& parker, Ready&& ready) {
-  if (ready()) return;
+bool spin_then_park(std::uint64_t window_ns, Parker& parker, Ready&& ready,
+                    std::uint64_t* parked_ns = nullptr) {
+  if (ready()) return false;
   if (window_ns != 0) {
     std::uint64_t deadline = 0;  // the first burst is free of clock reads
     for (;;) {
       for (unsigned i = 0; i < kSpinBurst; ++i) {
         cpu_relax();
-        if (ready()) return;
+        if (ready()) return false;
       }
       const std::uint64_t now = monotonic_nanos();
       if (deadline == 0) {
@@ -110,10 +132,17 @@ void spin_then_park(std::uint64_t window_ns, Parker& parker, Ready&& ready) {
         break;
       }
       std::this_thread::yield();
-      if (ready()) return;
+      if (ready()) return false;
     }
   }
+  if (parked_ns == nullptr) {
+    parker.park(ready);
+    return true;
+  }
+  const std::uint64_t t0 = monotonic_nanos();
   parker.park(ready);
+  *parked_ns = monotonic_nanos() - t0;
+  return true;
 }
 
 }  // namespace ompmca::gomp

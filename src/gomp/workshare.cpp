@@ -51,8 +51,15 @@ void RingClaim::leave() {
 }
 
 void RingClaim::reset() {
-  left_.store(0, std::memory_order_relaxed);
-  state_.store(kFree, std::memory_order_relaxed);
+  // Only what the last region left behind: a slot it never used (or whose
+  // last generation drained) is already free, and rewriting it would
+  // dirty a line the next region's claimers load.
+  if (left_.load(std::memory_order_relaxed) != 0) {
+    left_.store(0, std::memory_order_relaxed);
+  }
+  if (state_.load(std::memory_order_relaxed) != kFree) {
+    state_.store(kFree, std::memory_order_relaxed);
+  }
 }
 
 void LoopInstance::enter(unsigned long gen, long begin, long end,

@@ -156,6 +156,17 @@ TaskRuntime::~TaskRuntime() {
   stopping_.store(true, std::memory_order_release);
   idle_cv_.notify_all();
   for (auto& w : workers_) w.join();
+  // Tasks still queued (a canceled task behind a blocker, say) never run,
+  // so nothing clears their closures: each fn_ still holds its own task's
+  // keep-alive, and the task would leak.  Break the cycles here.
+  for (auto& q : queues_) {
+    std::deque<TaskHandle> left;
+    {
+      MutexLock lk(q->mu);
+      left.swap(q->deque);
+    }
+    for (TaskHandle& task : left) task->fn_ = nullptr;
+  }
 }
 
 Status TaskRuntime::action_create(JobId job, ActionFunction fn) {

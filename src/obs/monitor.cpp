@@ -231,7 +231,7 @@ struct MonitorState {
 
   CapMutex sources_mu;
   std::vector<StallSource> sources OMPMCA_GUARDED_BY(sources_mu);
-  /// Dispatch seqs already reported: seqs are globally unique, so the set
+  /// Region keys already reported: a pool never reuses a key, so the set
   /// grows only with *distinct* stalled regions — one report each, ever.
   std::set<std::uint64_t> reported OMPMCA_GUARDED_BY(sources_mu);
 

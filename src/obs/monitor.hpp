@@ -115,8 +115,8 @@ inline bool armed() { return (gate::bits() & gate::kMonitor) != 0; }
 
 // --- stall sources ------------------------------------------------------------
 
-/// One in-flight region the watchdog flagged: identity (seq is globally
-/// unique, the dedup key), age, the master's tenant id, and the leased
+/// One in-flight region the watchdog flagged: identity (seq is the pool's
+/// region key, never reused, the dedup key), age, the master's tenant id, and the leased
 /// worker set with its busy subset (heartbeat parity: a busy worker is
 /// inside the region body right now — a stall with busy workers is a wedged
 /// body, one with none is a lost wakeup or a join leak).

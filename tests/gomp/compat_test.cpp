@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -223,6 +224,42 @@ TEST_F(CompatTest, ConcurrentMastersForkThroughTheAbi) {
   for (int m = 0; m < 2; ++m) {
     EXPECT_EQ(members[m].load(), widths[m].load()) << "master " << m;
     EXPECT_GE(widths[m].load(), kRegions) << "master " << m;
+  }
+}
+
+TEST_F(CompatTest, ResetRacesConcurrentForks) {
+  // Two masters loop GOMP_parallel while this thread loops the reset: a
+  // reset either sees a fork in flight and refuses, or the fork sees the
+  // runtime unpublished and waits for (then uses) the next one — never a
+  // fork on a runtime being destroyed.
+  constexpr int kResets = 40;
+  std::atomic<bool> stop{false};
+  std::atomic<int> members[2] = {0, 0};
+  std::atomic<int> widths[2] = {0, 0};
+  std::atomic<int> regions{0};
+  std::vector<std::thread> masters;
+  for (int m = 0; m < 2; ++m) {
+    masters.emplace_back([&, m] {
+      WidthArgs args{&members[m], &widths[m]};
+      while (!stop.load(std::memory_order_relaxed)) {
+        GOMP_parallel(width_body, &args, 2);
+        regions.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  int resets = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (resets < kResets && std::chrono::steady_clock::now() < deadline) {
+    if (gomp_compat_reset()) ++resets;
+    std::this_thread::yield();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& t : masters) t.join();
+  EXPECT_EQ(resets, kResets);
+  EXPECT_GT(regions.load(), 0);
+  for (int m = 0; m < 2; ++m) {
+    EXPECT_EQ(members[m].load(), widths[m].load()) << "master " << m;
   }
 }
 

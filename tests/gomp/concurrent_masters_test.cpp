@@ -394,5 +394,206 @@ TEST(ConcurrentMasters, LeasesAreLowestFreeWorkersAndDisjoint) {
   EXPECT_EQ(third_workers & second_workers, 0u);
 }
 
+// --- retained dispatch --------------------------------------------------------
+
+/// A runtime whose pool workers report their pool index (see
+/// IndexTaggingBackend).
+Runtime make_tagged_runtime(unsigned threads, unsigned max_workers) {
+  RuntimeOptions opts;
+  Icvs icvs;
+  icvs.num_threads = threads;
+  opts.icvs = icvs;
+  opts.pool_max_workers = max_workers;
+  opts.backend_factory = [] { return std::make_unique<IndexTaggingBackend>(); };
+  return Runtime(opts);
+}
+
+/// What one region ran on: its team (one hot team per dispatch slot, so the
+/// same team means the same slot), the pool workers that joined it, and
+/// its width.
+struct Forked {
+  const Team* team = nullptr;
+  std::uint64_t workers = 0;
+  unsigned width = 0;
+};
+
+Forked fork_once(Runtime& rt, unsigned width) {
+  std::atomic<const Team*> team{nullptr};
+  std::atomic<std::uint64_t> workers{0};
+  std::atomic<unsigned> got{0};
+  rt.parallel(
+      [&](ParallelContext& ctx) {
+        if (ctx.thread_num() == 0) {
+          team.store(&ctx.team());
+          got.store(ctx.num_threads());
+        } else {
+          workers.fetch_or(std::uint64_t{1} << t_worker_index);
+        }
+      },
+      width);
+  return {team.load(), workers.load(), got.load()};
+}
+
+// Back-to-back forks of one width keep the master's slot (its hot team)
+// and its lease (the same workers), and launch nothing new.
+TEST(RetainedDispatch, ReforkReusesSlotAndWorkers) {
+  Runtime rt = make_tagged_runtime(3, ThreadPool::kMaxWorkers);
+  const Forked first = fork_once(rt, 3);
+  ASSERT_EQ(first.width, 3u);
+  EXPECT_EQ(first.workers, 0b11u);
+  for (int i = 0; i < 20; ++i) {
+    const Forked again = fork_once(rt, 3);
+    EXPECT_EQ(again.team, first.team) << "fork " << i;
+    EXPECT_EQ(again.workers, first.workers) << "fork " << i;
+  }
+  EXPECT_EQ(rt.pool().workers_launched(), 2u);
+}
+
+// A width change gives the kept slot and lease back before the fork claims
+// afresh: the narrower region lands on the lowest free slot (the one just
+// released) with the lowest worker, and a second master then finds the
+// surplus workers free without revoking the new, narrower retention.
+TEST(RetainedDispatch, WidthChangeReleasesTheRetainedLease) {
+  IndexTaggingBackend backend;
+  ThreadPool pool(backend, WaitPolicy::kPassive, /*max_workers=*/3);
+  auto fork = [&pool](unsigned width, int* slot) {
+    ThreadPool::Dispatch d;
+    EXPECT_EQ(pool.prepare(d, width, /*level=*/1, /*retain=*/true), width);
+    *slot = d.slot();
+    return run_dispatch(pool, d, width);
+  };
+  int wide_slot = -1;
+  EXPECT_EQ(fork(4, &wide_slot), 0b111u);
+  int narrow_slot = -1;
+  EXPECT_EQ(fork(2, &narrow_slot), 0b001u);
+  EXPECT_EQ(narrow_slot, wide_slot);
+
+  // The second master cannot take the slot the first one keeps.
+  std::uint64_t other = 0;
+  int other_slot = -1;
+  std::thread([&] { other = fork(3, &other_slot); }).join();
+  EXPECT_EQ(other, 0b110u);
+  EXPECT_NE(other_slot, narrow_slot);
+
+  int again_slot = -1;
+  EXPECT_EQ(fork(2, &again_slot), 0b001u);
+  EXPECT_EQ(again_slot, narrow_slot);
+  EXPECT_EQ(pool.workers_launched(), 3u);
+}
+
+// A master short of workers revokes another master's kept lease before it
+// degrades its width: with every worker kept by the main thread, a second
+// master still gets its full width, and nothing is launched or degraded.
+TEST(RetainedDispatch, SecondMasterRevokesInsteadOfDegrading) {
+  obs::ScopedEnable telemetry;
+  Runtime rt = make_tagged_runtime(4, /*max_workers=*/3);
+  ASSERT_EQ(fork_once(rt, 4).width, 4u);
+  ASSERT_EQ(rt.pool().workers_launched(), 3u);
+
+  Forked other;
+  std::thread([&] { other = fork_once(rt, 4); }).join();
+  EXPECT_EQ(other.width, 4u);
+  // The main thread's retention was revoked; the exited thread's is
+  // revoked in turn.
+  EXPECT_EQ(fork_once(rt, 4).width, 4u);
+  EXPECT_EQ(rt.pool().workers_launched(), 3u);
+  obs::Snapshot s = obs::Registry::instance().snapshot();
+  EXPECT_EQ(s.counter(obs::Counter::kGompLeaseDegraded), 0u);
+}
+
+// The two-tenant shape: the main thread keeps every launched worker, then
+// two masters fork half-width regions at once.  They revoke rather than
+// launch, so the pool stays at the warm-up's three workers.
+TEST(RetainedDispatch, TenantsRevokeInsteadOfLaunching) {
+  obs::ScopedEnable telemetry;
+  Runtime rt = make_tagged_runtime(4, ThreadPool::kMaxWorkers);
+  ASSERT_EQ(fork_once(rt, 4).width, 4u);
+  ASSERT_EQ(rt.pool().workers_launched(), 3u);
+
+  std::array<std::atomic<unsigned>, 2> narrowed{};
+  std::vector<std::thread> masters;
+  for (unsigned m = 0; m < 2; ++m) {
+    masters.emplace_back([&, m] {
+      for (int i = 0; i < 50; ++i) {
+        if (fork_once(rt, 2).width != 2) narrowed[m].fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : masters) t.join();
+  EXPECT_EQ(narrowed[0].load() + narrowed[1].load(), 0u);
+  EXPECT_EQ(rt.pool().workers_launched(), 3u);
+  obs::Snapshot s = obs::Registry::instance().snapshot();
+  EXPECT_EQ(s.counter(obs::Counter::kGompLeaseDegraded), 0u);
+}
+
+// A thread that exits holding a retention leaves it orphaned; when every
+// other slot is in flight, the next master revokes it instead of
+// serializing.
+TEST(RetainedDispatch, SlotExhaustionRevokesAnOrphanedRetention) {
+  obs::ScopedEnable telemetry;
+  constexpr unsigned kMasters = ThreadPool::kMaxSlots;
+  Runtime rt = make_tagged_runtime(2, ThreadPool::kMaxWorkers);
+  std::thread([&] {
+    // Launch a worker per slot, then keep one slot and one worker.
+    ASSERT_EQ(fork_once(rt, kMasters + 1).width, kMasters + 1);
+    ASSERT_EQ(fork_once(rt, 2).width, 2u);
+  }).join();
+  ASSERT_EQ(rt.pool().workers_launched(), kMasters);
+
+  std::atomic<unsigned> arrived{0};
+  std::atomic<bool> bail{false};
+  std::array<std::atomic<unsigned>, kMasters> widths{};
+  std::vector<std::thread> masters;
+  for (unsigned m = 0; m < kMasters; ++m) {
+    masters.emplace_back([&, m] {
+      rt.parallel(
+          [&, m](ParallelContext& ctx) {
+            if (ctx.thread_num() != 0) return;
+            widths[m].store(ctx.num_threads());
+            arrived.fetch_add(1);
+            const bool all = spin_until([&] {
+              return arrived.load() >= kMasters || bail.load();
+            });
+            if (!all) bail.store(true);
+            EXPECT_TRUE(all);
+          },
+          2);
+    });
+  }
+  for (auto& t : masters) t.join();
+  ASSERT_FALSE(bail.load());
+  for (unsigned m = 0; m < kMasters; ++m) {
+    EXPECT_EQ(widths[m].load(), 2u) << "master " << m;
+  }
+  EXPECT_EQ(rt.pool().workers_launched(), kMasters);
+  obs::Snapshot s = obs::Registry::instance().snapshot();
+  EXPECT_EQ(s.counter(obs::Counter::kGompLeaseDegraded), 0u);
+}
+
+class RetainedDispatchTeardown : public ::testing::TestWithParam<BackendKind> {
+};
+
+// Runtimes destroyed while masters hold retentions (the main thread's, and
+// an exited thread's) shut their workers down cleanly, and a later runtime
+// is not confused by the stale retention hint.
+TEST_P(RetainedDispatchTeardown, RuntimeDestroyedWhileRetainingExitsCleanly) {
+  for (int round = 0; round < 3; ++round) {
+    Runtime rt = make_runtime(GetParam(), 3);
+    std::atomic<unsigned> ran{0};
+    auto body = [&](ParallelContext&) { ran.fetch_add(1); };
+    rt.parallel(body, 3);
+    rt.parallel(body, 3);
+    std::thread([&] { rt.parallel(body, 2); }).join();
+    EXPECT_EQ(ran.load(), 8u) << "round " << round;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothBackends, RetainedDispatchTeardown,
+    ::testing::Values(BackendKind::kNative, BackendKind::kMca),
+    [](const ::testing::TestParamInfo<BackendKind>& param_info) {
+      return std::string(to_string(param_info.param));
+    });
+
 }  // namespace
 }  // namespace ompmca::gomp

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <set>
+#include <thread>
 
 namespace ompmca::mtapi {
 namespace {
@@ -150,6 +153,46 @@ TEST(MtapiTasks, CancelPendingTask) {
   release.store(true);
   (void)(*blocker)->wait();  // outcome checked via `executed` below
   EXPECT_EQ(executed.load(), 0);
+}
+
+TEST(MtapiTasks, CanceledTaskQueuedAtTeardownIsFreed) {
+  // A canceled task still queued behind a blocker when the runtime is torn
+  // down never runs; its closure (which holds the task itself) must still
+  // be released, or the task leaks.
+  std::atomic<bool> release{false};
+  std::weak_ptr<Task> victim_ref;
+  std::thread releaser;
+  {
+    TaskRuntime rt(TaskRuntimeOptions{.workers = 1});
+    ASSERT_EQ(rt.action_create(kJobAdd,
+                               [&](const void*, std::size_t) {
+                                 while (!release.load()) {
+                                   std::this_thread::yield();
+                                 }
+                               }),
+              Status::kSuccess);
+    ASSERT_EQ(rt.action_create(kJobRecord, [](const void*, std::size_t) {}),
+              Status::kSuccess);
+    auto blocker = rt.task_start(kJobAdd, nullptr, 0);
+    ASSERT_TRUE(blocker.has_value());
+    while ((*blocker)->state() != TaskState::kRunning) {
+      std::this_thread::yield();
+    }
+    auto victim = rt.task_start(kJobRecord, nullptr, 0);
+    EXPECT_TRUE(victim.has_value());
+    if (victim.has_value()) {
+      EXPECT_EQ((*victim)->cancel(), Status::kSuccess);
+      victim_ref = *victim;
+    }
+    // Let the blocker finish only once the teardown below has begun, so
+    // the worker exits without dequeuing the victim.
+    releaser = std::thread([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      release.store(true);
+    });
+  }
+  if (releaser.joinable()) releaser.join();
+  EXPECT_TRUE(victim_ref.expired());
 }
 
 TEST(MtapiQueues, OrderedExecution) {
