@@ -14,6 +14,8 @@
 #                       10. placement ablation (model checks gate)
 #                       11. thread-safety analysis build + ompmca-lint
 #                       12. serverbench artifact diff (informational)
+#                       13. live monitor: sustained serverbench
+#                       14. co-location probe (disabled in ctest)
 #
 # Mirrors ROADMAP.md's tier-1 verify line, with -Werror on so new
 # warnings fail the build instead of rotting.
@@ -21,12 +23,12 @@ set -eu
 
 cd "$(dirname "$0")"
 
-echo "== [1/13] normal build + ctest =="
+echo "== [1/14] normal build + ctest =="
 cmake -B build -S . -DOMPMCA_WERROR=ON -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
 cmake --build build -j
 (cd build && ctest --output-on-failure -j)
 
-echo "== [2/13] ThreadSanitizer, all suites =="
+echo "== [2/14] ThreadSanitizer, all suites =="
 # Race-check everything, not just the gomp hot paths: the MRAPI database,
 # arena and DMA engine carry their own lock-free fast paths.
 cmake -B build-tsan -S . -DOMPMCA_WERROR=ON -DOMPMCA_TSAN=ON
@@ -69,12 +71,12 @@ echo "mutex, reductions and criticals (20 repeats): clean under TSan"
   --gtest_repeat=20 >/dev/null
 echo "GOMP ABI entries (20 repeats): clean under TSan"
 
-echo "== [3/13] ASan+UBSan, all suites =="
+echo "== [3/14] ASan+UBSan, all suites =="
 cmake -B build-asan -S . -DOMPMCA_WERROR=ON -DOMPMCA_ASAN=ON
 cmake --build build-asan -j
 (cd build-asan && ctest --output-on-failure)
 
-echo "== [4/13] correctness checker (OMPMCA_CHECK=ON), all suites =="
+echo "== [4/14] correctness checker (OMPMCA_CHECK=ON), all suites =="
 # The check build compiles the lockdep/lifecycle/usage hooks in; check_test
 # seeds violations and asserts the reports, the rest of the suite doubles
 # as a no-false-positives audit.
@@ -101,7 +103,7 @@ OMPMCA_CHECK_ABORT=1 ./build-check/tests/gomp/gomp_test \
   --gtest_filter='*Reduc*:*Critical*' --gtest_repeat=20 >/dev/null
 echo "mutex, reductions and criticals (20 repeats): pass under checker"
 
-echo "== [5/13] fault injection (OMPMCA_FAULT=ON + OMPMCA_CHECK=ON), all suites =="
+echo "== [5/14] fault injection (OMPMCA_FAULT=ON + OMPMCA_CHECK=ON), all suites =="
 # Compiles the injection points and recovery policies in and runs the whole
 # suite, including the fixed-seed chaos tests in tests/fault/ (which skip in
 # every other build).  The checker rides along so injected failures cannot
@@ -110,7 +112,7 @@ cmake -B build-fault -S . -DOMPMCA_WERROR=ON -DOMPMCA_FAULT=ON -DOMPMCA_CHECK=ON
 cmake --build build-fault -j
 (cd build-fault && ctest --output-on-failure)
 
-echo "== [6/13] clang-tidy =="
+echo "== [6/14] clang-tidy =="
 if command -v clang-tidy >/dev/null 2>&1; then
   # Uses .clang-tidy at the repo root and the compile database from step 1.
   find src -name '*.cpp' -print | xargs clang-tidy -p build --quiet
@@ -118,7 +120,7 @@ else
   echo "clang-tidy not installed; skipping lint step"
 fi
 
-echo "== [7/13] EPCC artifact diff (informational) =="
+echo "== [7/14] EPCC artifact diff (informational) =="
 if command -v python3 >/dev/null 2>&1; then
   python3 bench/diff_artifacts.py \
     bench/artifacts/epcc_before.json bench/artifacts/epcc_after.json || true
@@ -126,7 +128,7 @@ else
   echo "python3 not installed; skipping artifact diff"
 fi
 
-echo "== [8/13] flight-recorder trace export =="
+echo "== [8/14] flight-recorder trace export =="
 # Runs the EPCC bench with tracing armed and validates the exported Chrome
 # trace JSON strictly (json.tool); the analyzer pass is informational.  The
 # bench's own PASS/FAIL is timing-sensitive on loaded CI hosts, so only the
@@ -141,7 +143,7 @@ else
   echo "python3 not installed; skipping trace validation"
 fi
 
-echo "== [9/13] taskbench artifact diff (informational) =="
+echo "== [9/14] taskbench artifact diff (informational) =="
 # Runs the task-subsystem bench and diffs its overhead artifact against the
 # committed reference.  The run itself is tolerated to fail (its in-bench
 # band checks are timing-sensitive on loaded CI hosts); the artifact must
@@ -155,12 +157,12 @@ else
   echo "python3 not installed; skipping taskbench artifact diff"
 fi
 
-echo "== [10/13] placement ablation (model checks) =="
+echo "== [10/14] placement ablation (model checks) =="
 # The cost model's flat-vs-two-tier predictions for the T4240 (simulator
 # input); the bench's PASS/FAIL gates the build.
 ./build/bench/ablation_placement --quick
 
-echo "== [11/13] thread-safety analysis build + ompmca-lint =="
+echo "== [11/14] thread-safety analysis build + ompmca-lint =="
 # The lock structure carries Clang Thread Safety annotations
 # (src/common/annotations.hpp); a clang build with -DOMPMCA_TSA=ON turns
 # -Wthread-safety into errors (-Wthread-safety-negative stays
@@ -185,7 +187,7 @@ else
   echo "python3 not installed; skipping ompmca-lint"
 fi
 
-echo "== [12/13] serverbench artifact diff (informational) =="
+echo "== [12/14] serverbench artifact diff (informational) =="
 # Runs the multi-tenant dispatch bench (N masters bursting small regions
 # through one runtime) and diffs its latency/throughput curve against the
 # committed reference.  The run's own PASS/FAIL is tolerated (its telemetry
@@ -200,7 +202,7 @@ else
   echo "python3 not installed; skipping serverbench artifact diff"
 fi
 
-echo "== [13/13] live monitor: sustained serverbench + format validation =="
+echo "== [13/14] live monitor: sustained serverbench + format validation =="
 # Short sustained serverbench with the live monitor armed: the artifact and
 # every JSONL line must parse, and a prom-format run must produce
 # well-formed text exposition (TYPE'd families, name{labels} value lines).
@@ -239,5 +241,14 @@ EOF
 else
   echo "python3 not installed; skipping live-monitor validation"
 fi
+
+echo "== [14/14] co-location probe =="
+# Ten fresh runtimes at width nproc, windows of 2000 regions per body shape,
+# sched_getcpu() per team thread: fails when a window is slow while two
+# team threads share a CPU (the spin that kept them there is the one
+# gomp/wait.hpp gates).  Disabled in ctest because the outcome depends on
+# the kernel's balancer; here it gates.
+./build/tests/gomp/gomp_test --gtest_filter='CoLocationProbe.*' \
+  --gtest_also_run_disabled_tests
 
 echo "ci.sh: all passes complete"

@@ -42,7 +42,7 @@ void CentralBarrier::arrive(Last&& last) {
     parker_.wake();
     return;
   }
-  spin_then_park(spin_ns_, parker_, [&] {
+  spin_then_park(kBarrierSite, spin_ns_, parker_, [&] {
     // seq_cst: the re-check half of the Parker's Dekker pair.
     return sense_.load(std::memory_order_seq_cst) == my_sense;
   });

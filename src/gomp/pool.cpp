@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <thread>
+#include <utility>
 
 #include "check/check.hpp"
 #include "common/env.hpp"
@@ -134,6 +135,10 @@ ThreadPool::~ThreadPool() {
   }
   seq_cst_fence();
   for (auto& bell : bells_) bell->parker.wake();
+  // Slots still retained leave the team-thread count with the pool (a
+  // released slot counts 0); forgetting them would throttle every later
+  // runtime's spinners.
+  for (DispatchSlot& slot : slots_) remove_team_threads(slot.counted);
   const std::uint64_t launched = launched_mask_.load(std::memory_order_relaxed);
   for (unsigned i = 0; i < max_workers_; ++i) {
     if ((launched & (std::uint64_t{1} << i)) != 0) {
@@ -163,7 +168,7 @@ void ThreadPool::worker_loop(Bell& bell, std::uint64_t seen) {
     std::uint64_t a = seen;
     std::uint64_t parked_ns = 0;
     const bool parked = spin_then_park(
-        spin_ns, bell.parker,
+        kMailboxSite, spin_ns, bell.parker,
         [&] {
           // seq_cst: worker half of the bell Parker's Dekker pair — the
           // master fences its mailbox stores before its sleeper check.
@@ -237,6 +242,7 @@ void ThreadPool::release_slot(int slot, std::uint64_t lease) {
   // retaining master's, are ordered before this), then the slot, whose
   // release fetch_or publishes everything to the next claimant.
   release_lease(lease);
+  remove_team_threads(std::exchange(slots_[slot].counted, 0u));
   slots_[slot].state.store(kSlotFree, std::memory_order_relaxed);
   slots_free_.fetch_or(1u << slot, std::memory_order_release);
 }
@@ -427,6 +433,10 @@ unsigned ThreadPool::prepare(Dispatch& d, unsigned nthreads, unsigned level,
     const std::uint64_t lease = ensure_launched(lease_workers(extra));
     d.lease_ = lease;
     d.width_ = 1 + popcount64(lease);
+    // A nested master is already counted in its enclosing team.
+    const unsigned counted = level > 1 ? d.width_ - 1 : d.width_;
+    slots_[slot].counted = counted;
+    add_team_threads(counted);
   }
   // The multiplex witness: a region dispatched while another master's is
   // still running is exactly the state the old single-slab pool corrupted.
@@ -526,7 +536,7 @@ void ThreadPool::wait_team(Dispatch& d, FunctionRef<void()> on_joined) {
                     region_key(slot->seq, static_cast<unsigned>(d.slot_)));
     // The join is the region's end rendezvous: the workers' own region
     // tails (body imbalance, task drain) are what is outstanding.
-    spin_then_park(slot->spin_ns, slot->done, [&] {
+    spin_then_park(kJoinSite, slot->spin_ns, slot->done, [&] {
       // seq_cst: master half of the slot Parker's Dekker pair.
       return slot->active.load(std::memory_order_seq_cst) == 0;
     });

@@ -65,6 +65,11 @@
 //  * Nothing per region is written to a line that another master writes or
 //    a waiting worker polls: a re-fork touches its own slot and the bells
 //    it rings, and a worker's wait predicate is one load of its own bell.
+//  * The process-wide team-thread count (team_threads(), gomp/wait.hpp),
+//    which decides whether spinners yield, moves only where a slot and its
+//    lease are claimed (prepare), given back (release_slot: a release,
+//    width change or revocation) or torn down still retained (~ThreadPool)
+//    — so a retained re-fork writes nothing to it either.
 //  * Join: each participant drains its tasks and decrements the slot's
 //    active count; the master waits for zero with spin_then_park on the
 //    slot's Parker (the last worker wakes it only when it actually
@@ -215,6 +220,7 @@ class ThreadPool {
     std::uint64_t seq = 0;     // regions dispatched through this slot
     std::uint64_t lease = 0;   // kept lease (valid while retained)
     unsigned width = 0;        // kept width (valid while retained)
+    unsigned counted = 0;      // what the claim added to team_threads()
 
     alignas(kCacheLineBytes) FunctionRef<void(unsigned)> work;
     std::uint64_t dispatch_start_ns = 0;  // telemetry; 0 = untimed
@@ -258,7 +264,8 @@ class ThreadPool {
                           std::vector<obs::monitor::StallRegion>& out);
 
   int claim_slot();
-  /// Marks @p slot free and returns @p lease and the slot to the free sets.
+  /// Marks @p slot free, takes its team out of team_threads() and returns
+  /// @p lease and the slot to the free sets.
   void release_slot(int slot, std::uint64_t lease);
   /// Reclaims the calling thread's retained slot into @p d when its width
   /// is @p d's; otherwise releases it.  False when nothing was resumed.

@@ -81,7 +81,7 @@ class RingClaim {
       }
       // A peer is configuring this generation, or an older one has not
       // drained yet: both end in a state the predicate accepts.
-      spin_then_park(spin_ns, parker_, [&] {
+      spin_then_park(kRingSite, spin_ns, parker_, [&] {
         // seq_cst: waiter half of parker_'s Dekker pair.
         s = state_.load(std::memory_order_seq_cst);
         return s == kFree || s == ready;

@@ -2,6 +2,7 @@
 
 #include <climits>
 #include <ctime>
+#include <thread>
 
 #if defined(__linux__)
 #include <linux/futex.h>
@@ -59,6 +60,21 @@ void wake(std::atomic<std::uint32_t>& word, int n) {
 #endif
 }
 
+/// The calling thread's held word: its token shifted left by one (bit 0
+/// is the contention mark).  Tokens are 31-bit and never 0, unique among
+/// any 2^31 - 1 threads of the process.
+std::uint32_t held_word() {
+  static std::atomic<std::uint32_t> next{1};
+  static thread_local const std::uint32_t word = [] {
+    std::uint32_t t = 0;
+    while (t == 0) {
+      t = next.fetch_add(1, std::memory_order_relaxed) & 0x7fff'ffffu;
+    }
+    return t << 1;
+  }();
+  return word;
+}
+
 }  // namespace
 
 Status Mutex::lock(Timeout timeout_ms, LockKey* key) {
@@ -76,11 +92,11 @@ Status Mutex::trylock(LockKey* key) {
 
 Status Mutex::acquire(Timeout timeout_ms, LockKey* key, bool* contended) {
   if (key == nullptr) return Status::kInvalidArgument;
-  const auto self = std::this_thread::get_id();
+  const std::uint32_t self = held_word();
 
-  // Only the holder stores its own id, so reading it back means this
-  // thread holds the mutex.
-  if (owner_.load(std::memory_order_relaxed) == self) {
+  // Only the holder stores its token, and a waiter marking contention
+  // keeps it, so reading it back means this thread holds the mutex.
+  if ((state_.load(std::memory_order_relaxed) & ~kContendedBit) == self) {
     if (!attrs_.recursive) {
       // A non-recursive MRAPI mutex reports the relock instead of
       // self-deadlocking.
@@ -102,38 +118,37 @@ Status Mutex::acquire(Timeout timeout_ms, LockKey* key, bool* contended) {
   }
 
   std::uint32_t c = kFree;
-  if (!state_.compare_exchange_strong(c, kLocked, std::memory_order_acquire,
+  if (!state_.compare_exchange_strong(c, self, std::memory_order_acquire,
                                       std::memory_order_relaxed)) {
     if (c == kRetired) return retired_error();
     obs::emit(obs::Event::kMutexContended);
     if (timeout_ms == kTimeoutImmediate) return Status::kMutexLocked;
     *contended = true;
-    const Status s = lock_slow(timeout_ms);
+    const Status s = lock_slow(timeout_ms, self);
     if (s != Status::kSuccess) return s;
   }
-  owner_.store(self, std::memory_order_relaxed);
-  depth_ = 1;
+  if (attrs_.recursive) depth_ = 1;
   key->value = 1;
   obs::emit(obs::Event::kMutexAcquired);
   OMPMCA_CHECK_ACQUIRE(check::LockClass::kMrapiMutex, this, 0);
   return Status::kSuccess;
 }
 
-Status Mutex::lock_slow(Timeout timeout_ms) {
+Status Mutex::lock_slow(Timeout timeout_ms, std::uint32_t held) {
   const std::uint64_t deadline =
       timeout_ms == kTimeoutInfinite
           ? 0
           : monotonic_nanos() + std::uint64_t{timeout_ms} * 1'000'000;
 
-  // Spin: take the word as plain locked when it frees up.  Any waiter
-  // parked meanwhile was woken by the unlock that freed it, and marks the
-  // word contended again when it finds it taken.
+  // Spin: take the word uncontended when it frees up.  Any waiter parked
+  // meanwhile was woken by the unlock that freed it, and marks the word
+  // contended again when it finds it taken.
   for (unsigned i = 0; i < kSpinPauses; ++i) {
     cpu_relax();
     std::uint32_t c = state_.load(std::memory_order_relaxed);
     if (c == kRetired) return retired_error();
     if (c == kFree &&
-        state_.compare_exchange_weak(c, kLocked, std::memory_order_acquire,
+        state_.compare_exchange_weak(c, held, std::memory_order_acquire,
                                      std::memory_order_relaxed)) {
       return Status::kSuccess;
     }
@@ -145,17 +160,20 @@ Status Mutex::lock_slow(Timeout timeout_ms) {
   for (;;) {
     if (c == kRetired) return retired_error();
     if (c == kFree) {
-      if (state_.compare_exchange_weak(c, kContended,
+      if (state_.compare_exchange_weak(c, held | kContendedBit,
                                        std::memory_order_acquire,
                                        std::memory_order_relaxed)) {
         return Status::kSuccess;
       }
       continue;  // c holds the word's new value
     }
-    if (c == kLocked &&
-        !state_.compare_exchange_weak(c, kContended,
-                                      std::memory_order_relaxed)) {
-      continue;
+    if ((c & kContendedBit) == 0) {
+      // The mark keeps the holder's token, so its owner checks still hold.
+      if (!state_.compare_exchange_weak(c, c | kContendedBit,
+                                        std::memory_order_relaxed)) {
+        continue;
+      }
+      c |= kContendedBit;
     }
     std::uint64_t rel_ns = 0;
     if (deadline != 0) {
@@ -163,7 +181,7 @@ Status Mutex::lock_slow(Timeout timeout_ms) {
       if (now >= deadline) return Status::kTimeout;
       rel_ns = deadline - now;
     }
-    park(state_, kContended, rel_ns);
+    park(state_, c, rel_ns);
     c = state_.load(std::memory_order_relaxed);
   }
 }
@@ -175,22 +193,21 @@ Status Mutex::unlock(const LockKey& key) {
     OMPMCA_CHECK_DOUBLE_UNLOCK(check::LockClass::kMrapiMutex, this);
     return Status::kMutexNotLocked;
   }
-  if (owner_.load(std::memory_order_relaxed) != std::this_thread::get_id()) {
+  if ((c & ~kContendedBit) != held_word()) {
     OMPMCA_CHECK_UNLOCK_NOT_OWNER(check::LockClass::kMrapiMutex, this);
     return Status::kMutexKeyInvalid;
   }
-  // Recursive acquisitions must be released innermost-first.
-  if (key.value != depth_) {
+  // Recursive acquisitions must be released innermost-first; a
+  // non-recursive acquisition's key is always 1.
+  if (key.value != (attrs_.recursive ? depth_ : 1)) {
     OMPMCA_CHECK_UNLOCK_NOT_OWNER(check::LockClass::kMrapiMutex, this);
     return Status::kMutexKeyInvalid;
   }
-  --depth_;
   OMPMCA_CHECK_RELEASE(check::LockClass::kMrapiMutex, this);
-  if (depth_ == 0) {
-    owner_.store(std::thread::id{}, std::memory_order_relaxed);
-    if (state_.exchange(kFree, std::memory_order_release) == kContended) {
-      wake(state_, 1);
-    }
+  if (attrs_.recursive && --depth_ != 0) return Status::kSuccess;
+  if ((state_.exchange(kFree, std::memory_order_release) & kContendedBit) !=
+      0) {
+    wake(state_, 1);
   }
   return Status::kSuccess;
 }

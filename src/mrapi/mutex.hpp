@@ -8,15 +8,17 @@
 //  * it can be retired (deleted) while threads wait on it.
 //
 // The whole lock is one atomic state word, Drepper's "Futexes Are Tricky"
-// mutex 2 plus a terminal state:
+// mutex 2 plus a terminal state, with the holder in the word:
 //
-//   free --CAS--> locked --a waiter marks it--> contended
-//     ^              |                              |
-//     +---- unlock: exchange(free); a wake only if the old state was
-//           contended
-//   free --retire() CAS--> retired (terminal: every later or parked locker
-//                                   fails with kMutexIdInvalid)
+//   free (0) --CAS--> held: token << 1 --a waiter sets bit 0--> contended
+//     ^                  |                                         |
+//     +---- unlock: exchange(free); a wake only if bit 0 was set --+
+//   free --retire() CAS--> retired (1; terminal: every later or parked
+//                                   locker fails with kMutexIdInvalid)
 //
+// The token is the locking thread's own (one per thread, never 0), so the
+// word names the holder: a thread that reads its own token back holds the
+// mutex (only the holder writes it; a waiter marking contention keeps it).
 // An uncontended lock is one CAS and an uncontended unlock one exchange,
 // with no syscall.  A locker that finds the mutex held spins for
 // kSpinPauses pauses (a critical section at OpenMP grain is usually
@@ -28,15 +30,14 @@
 // succeeds only from free, then wakes every parked waiter, which finds the
 // retired state and fails.
 //
-// Only the holder writes the owner and the recursion depth, so neither
-// needs a lock: a thread that reads its own id back from owner_ holds the
-// mutex, and the depth is handed from holder to holder by the state word's
-// acquire/release.
+// The recursion depth is holder-only and exists for recursive mutexes
+// alone, handed from holder to holder by the state word's acquire/release;
+// a non-recursive holder writes nothing but the word, the line its waiters
+// poll.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <thread>
 
 #include "common/status.hpp"
 #include "mrapi/types.hpp"
@@ -78,8 +79,7 @@ class Mutex {
 
   /// Observational only (racy by nature); used by tests and metadata.
   bool locked() const {
-    const std::uint32_t s = state_.load(std::memory_order_relaxed);
-    return s == kLocked || s == kContended;
+    return state_.load(std::memory_order_relaxed) > kRetired;
   }
 
   /// Pauses a locker spins on a held mutex before it parks (~5 µs at
@@ -87,21 +87,23 @@ class Mutex {
   static constexpr unsigned kSpinPauses = 256;
 
  private:
-  enum : std::uint32_t { kFree = 0, kLocked = 1, kContended = 2, kRetired = 3 };
+  // A held word is (token << 1) | contended; token 0 never exists, so the
+  // two values below it are free.
+  enum : std::uint32_t { kFree = 0, kRetired = 1, kContendedBit = 1 };
 
   /// lock() and trylock() (kTimeoutImmediate); *contended reports whether
   /// another thread held the mutex when this call found it.
   Status acquire(Timeout timeout_ms, LockKey* key, bool* contended);
-  /// Spins, then parks until the word is taken (kSuccess), the timeout
-  /// passes (kTimeout) or the mutex is retired (kMutexIdInvalid).
-  Status lock_slow(Timeout timeout_ms);
+  /// Spins, then parks until the word is taken with @p held (the caller's
+  /// token word) (kSuccess), the timeout passes (kTimeout) or the mutex is
+  /// retired (kMutexIdInvalid).
+  Status lock_slow(Timeout timeout_ms, std::uint32_t held);
   /// The stale-handle error (a checker use-after-delete report).
   Status retired_error() const;
 
   MutexAttributes attrs_;
   std::atomic<std::uint32_t> state_{kFree};
-  std::atomic<std::thread::id> owner_{};  // relaxed; holder-written
-  std::uint32_t depth_ = 0;               // holder-only
+  std::uint32_t depth_ = 0;  // holder-only; recursive mutexes only
 };
 
 }  // namespace ompmca::mrapi

@@ -36,6 +36,16 @@ enum class Event : unsigned {
   kLeaseDegraded,     // a lease or slot came back narrower than asked
   kTeamDegraded,      // a worker launch failed; the team runs narrower
   kTeamMultiplexed,   // a region dispatched while another was in flight
+  // gomp waits (gomp/wait.hpp): per site, a wait that did not find its
+  // predicate true, and such a wait that parked.
+  kWaitMailbox,
+  kParkMailbox,
+  kWaitJoin,
+  kParkJoin,
+  kWaitBarrier,
+  kParkBarrier,
+  kWaitRing,
+  kParkRing,
   // gomp synchronisation and worksharing.
   kBarrier,
   kFor,
@@ -139,6 +149,14 @@ inline constexpr std::array<EventSinks, kNumEvents> kEventSinks = [] {
       {E::kLeaseDegraded, C::kGompLeaseDegraded},
       {E::kTeamDegraded, C::kGompTeamDegraded},
       {E::kTeamMultiplexed, C::kGompTeamMultiplexed},
+      {E::kWaitMailbox, C::kGompWaitMailbox},
+      {E::kParkMailbox, C::kGompParkMailbox},
+      {E::kWaitJoin, C::kGompWaitJoin},
+      {E::kParkJoin, C::kGompParkJoin},
+      {E::kWaitBarrier, C::kGompWaitBarrier},
+      {E::kParkBarrier, C::kGompParkBarrier},
+      {E::kWaitRing, C::kGompWaitRing},
+      {E::kParkRing, C::kGompParkRing},
       {E::kBarrier, C::kGompBarrier, H::kGompBarrierWaitCentralNs,
        T::kBarrier},
       {E::kFor, C::kGompFor, H::kGompForNs, T::kFor},

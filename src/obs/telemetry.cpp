@@ -54,6 +54,14 @@ std::string_view name(Counter c) {
     case Counter::kGompTeamDegraded: return "gomp.team_degraded";
     case Counter::kGompTeamMultiplexed: return "gomp.team_multiplexed";
     case Counter::kGompLeaseDegraded: return "gomp.lease_degraded";
+    case Counter::kGompWaitMailbox: return "gomp.wait.mailbox";
+    case Counter::kGompParkMailbox: return "gomp.park.mailbox";
+    case Counter::kGompWaitJoin: return "gomp.wait.join";
+    case Counter::kGompParkJoin: return "gomp.park.join";
+    case Counter::kGompWaitBarrier: return "gomp.wait.barrier";
+    case Counter::kGompParkBarrier: return "gomp.park.barrier";
+    case Counter::kGompWaitRing: return "gomp.wait.ring";
+    case Counter::kGompParkRing: return "gomp.park.ring";
     case Counter::kGompLoopStealAttempt: return "gomp.loop_steal_attempt";
     case Counter::kGompLoopSteal: return "gomp.loop_steal";
     case Counter::kMrapiMutexAcquire: return "mrapi.mutex_acquire";

@@ -60,6 +60,17 @@ enum class Counter : unsigned {
   // Leases that came back narrower than requested because concurrent
   // masters held the workers past the bounded lease wait.
   kGompLeaseDegraded,
+  // Spin-then-park waits per site (worker mailbox, master join, team
+  // barrier, workshare ring claim): waits that did not find their
+  // predicate true, and those of them that parked.
+  kGompWaitMailbox,
+  kGompParkMailbox,
+  kGompWaitJoin,
+  kGompParkJoin,
+  kGompWaitBarrier,
+  kGompParkBarrier,
+  kGompWaitRing,
+  kGompParkRing,
   // Work-stealing loop scheduler (dynamic/guided distributed ranges).
   kGompLoopStealAttempt,
   kGompLoopSteal,

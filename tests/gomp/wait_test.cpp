@@ -11,14 +11,16 @@
 #include <thread>
 
 #include "gomp/runtime.hpp"
+#include "obs/telemetry.hpp"
 
 namespace ompmca::gomp {
 namespace {
 
-RuntimeOptions options_with(WaitPolicy policy) {
+RuntimeOptions options_with(WaitPolicy policy,
+                            unsigned width = std::min(4u, online_cpus())) {
   RuntimeOptions opts;
   Icvs icvs;
-  icvs.num_threads = std::min(4u, online_cpus());
+  icvs.num_threads = width;
   icvs.wait_policy = policy;
   opts.icvs = icvs;
   return opts;
@@ -48,6 +50,184 @@ TEST(WaitPath, SpinWindowGates) {
   EXPECT_GT(spin_window_ns(WaitPolicy::kActive, 1),
             spin_window_ns(WaitPolicy::kDefault, 1));
   EXPECT_GE(online_cpus(), 1u);
+  EXPECT_GE(available_cpus(), 1u);
+  EXPECT_LE(available_cpus(), online_cpus());
+}
+
+// --- the team-thread count behind the yield gate --------------------------
+//
+// Deterministic: the count moves only where a pool claims, releases,
+// revokes or tears down a slot, and every check below runs once the
+// regions that moved it have returned.  A leak would not show in any
+// timing: every later runtime would merely spin throttled.
+
+/// A runtime as wide as the CPUs the process may run on (online_cpus()
+/// unless an affinity mask narrows it): its retained team fills them.
+RuntimeOptions cpu_wide(bool nested = false) {
+  RuntimeOptions opts = options_with(WaitPolicy::kDefault, available_cpus());
+  if (nested) {
+    opts.icvs->nested = true;
+    opts.icvs->max_active_levels = kMaxSupportedActiveLevels;
+  }
+  return opts;
+}
+
+TEST(WaitPath, RuntimeAtCpuWidthIsNotOversubscribed) {
+  const unsigned cpus = available_cpus();
+  if (cpus < 2) GTEST_SKIP() << "needs two CPUs";
+  ASSERT_EQ(team_threads(), 0u) << "an earlier runtime left a team counted";
+  {
+    Runtime rt(cpu_wide());
+    for (int i = 0; i < 3; ++i) rt.parallel([](ParallelContext&) {});
+    // The master retains its slot and lease: one team of cpus threads.
+    EXPECT_EQ(team_threads(), cpus);
+    EXPECT_FALSE(oversubscribed());
+  }
+  EXPECT_EQ(team_threads(), 0u);
+}
+
+TEST(WaitPath, SecondRetainingRuntimeOversubscribes) {
+  const unsigned cpus = available_cpus();
+  if (cpus < 2) GTEST_SKIP() << "needs two CPUs";
+  ASSERT_EQ(team_threads(), 0u) << "an earlier runtime left a team counted";
+  Runtime first(cpu_wide());
+  first.parallel([](ParallelContext&) {});
+  {
+    Runtime second(cpu_wide());
+    second.parallel([](ParallelContext&) {});
+    // The first runtime's retention outlives this thread's hint: both
+    // teams are kept, and together they exceed the CPUs.
+    EXPECT_EQ(team_threads(), 2 * cpus);
+    EXPECT_TRUE(oversubscribed());
+  }
+  // Tearing the second pool down returns its retained team.
+  EXPECT_EQ(team_threads(), cpus);
+  EXPECT_FALSE(oversubscribed());
+  first.parallel([](ParallelContext&) {});
+  EXPECT_EQ(team_threads(), cpus);
+}
+
+TEST(WaitPath, RevocationReturnsTheRevokedTeam) {
+  const unsigned cpus = available_cpus();
+  if (cpus < 2) GTEST_SKIP() << "needs two CPUs";
+  ASSERT_EQ(team_threads(), 0u) << "an earlier runtime left a team counted";
+  {
+    Runtime rt(cpu_wide());
+    rt.parallel([](ParallelContext&) {});
+    ASSERT_EQ(team_threads(), cpus);
+    // Another master needs the workers this thread keeps: it revokes the
+    // retention (returning cpus) and then retains its own team (cpus).
+    unsigned other_width = 0;
+    std::thread([&] {
+      rt.parallel([&](ParallelContext& ctx) {
+        if (ctx.thread_num() == 0) other_width = ctx.num_threads();
+      });
+    }).join();
+    EXPECT_EQ(other_width, cpus);
+    EXPECT_EQ(team_threads(), cpus);
+    // And back: this master's hint is stale, so it claims afresh, revoking
+    // the exited master's orphaned retention.
+    rt.parallel([](ParallelContext&) {});
+    EXPECT_EQ(team_threads(), cpus);
+  }
+  EXPECT_EQ(team_threads(), 0u);
+}
+
+TEST(WaitPath, WidthChangeReturnsTheKeptTeam) {
+  const unsigned cpus = available_cpus();
+  if (cpus < 3) GTEST_SKIP() << "needs three CPUs";
+  ASSERT_EQ(team_threads(), 0u) << "an earlier runtime left a team counted";
+  {
+    Runtime rt(cpu_wide());
+    rt.parallel([](ParallelContext&) {});
+    EXPECT_EQ(team_threads(), cpus);
+    rt.parallel([](ParallelContext&) {}, 2);
+    EXPECT_EQ(team_threads(), 2u);
+    rt.parallel([](ParallelContext&) {});
+    EXPECT_EQ(team_threads(), cpus);
+    // A serialized region claims nothing and leaves the retention alone.
+    rt.parallel([](ParallelContext&) {}, 1);
+    EXPECT_EQ(team_threads(), cpus);
+  }
+  EXPECT_EQ(team_threads(), 0u);
+}
+
+TEST(WaitPath, NestedTeamsReturnTheirWorkers) {
+  const unsigned cpus = available_cpus();
+  if (cpus < 2) GTEST_SKIP() << "needs two CPUs";
+  ASSERT_EQ(team_threads(), 0u) << "an earlier runtime left a team counted";
+  {
+    Runtime rt(cpu_wide(/*nested=*/true));
+    std::atomic<unsigned> inner_seen{0};
+    rt.parallel(
+        [&](ParallelContext&) {
+          rt.parallel(
+              [&](ParallelContext& inner) {
+                // This nested team's leased worker has joined the count
+                // (its master is counted in the outer team).
+                if (inner.thread_num() == 0) {
+                  inner_seen.store(team_threads());
+                }
+              },
+              2);
+        },
+        2);
+    EXPECT_GE(inner_seen.load(), 3u);
+    // The outer team is retained; the nested ones were released.
+    EXPECT_EQ(team_threads(), 2u);
+  }
+  EXPECT_EQ(team_threads(), 0u);
+}
+
+// --- the wait and park counters per site ----------------------------------
+
+TEST(WaitPath, PassiveParksEveryWait) {
+  obs::Snapshot snap;
+  {
+    obs::ScopedEnable telemetry;
+    {
+      Runtime rt(options_with(WaitPolicy::kPassive));
+      for (int i = 0; i < 50; ++i) {
+        rt.parallel([](ParallelContext& ctx) {
+          ctx.barrier();
+          ctx.for_loop(0, 64, [](long, long) {},
+                       ScheduleSpec{Schedule::kDynamic, 1});
+        });
+      }
+    }  // joined: every worker's last mailbox wait has ended and counted
+    snap = obs::Registry::instance().snapshot();
+  }
+  using C = obs::Counter;
+  EXPECT_EQ(snap.counter(C::kGompParkMailbox),
+            snap.counter(C::kGompWaitMailbox));
+  EXPECT_EQ(snap.counter(C::kGompParkJoin), snap.counter(C::kGompWaitJoin));
+  EXPECT_EQ(snap.counter(C::kGompParkBarrier),
+            snap.counter(C::kGompWaitBarrier));
+  EXPECT_EQ(snap.counter(C::kGompParkRing), snap.counter(C::kGompWaitRing));
+  if (online_cpus() >= 2) {
+    EXPECT_GT(snap.counter(C::kGompWaitMailbox), 0u);
+  }
+}
+
+TEST(WaitPath, RegionAfterWindowCountsMailboxParks) {
+  Runtime rt(options_with(WaitPolicy::kDefault));
+  const unsigned width = rt.max_threads();
+  if (width < 2) GTEST_SKIP() << "needs two CPUs";
+  for (int i = 0; i < 20; ++i) rt.parallel([](ParallelContext&) {});
+  obs::ScopedEnable telemetry;
+  // Ten times past the window: a worker descheduled through all of it
+  // would see the ring without having parked, and one that had not yet
+  // started its wait would count none.
+  std::this_thread::sleep_for(10 * past_window(WaitPolicy::kDefault, width));
+  rt.parallel([](ParallelContext&) {});
+  // A worker's wait for this region outlasted its window and parked; the
+  // ring woke it, and it counted the wait and the park before starting
+  // the body, so before the join this thread returned from.
+  const obs::Snapshot snap = obs::Registry::instance().snapshot();
+  const std::uint64_t waits = snap.counter(obs::Counter::kGompWaitMailbox);
+  EXPECT_GE(snap.counter(obs::Counter::kGompParkMailbox), 1u);
+  EXPECT_LE(snap.counter(obs::Counter::kGompParkMailbox), waits);
+  EXPECT_LE(waits, width - 1);
 }
 
 class WaitPathPolicyTest : public ::testing::TestWithParam<WaitPolicy> {};

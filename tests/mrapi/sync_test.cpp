@@ -62,6 +62,30 @@ TEST(Mutex, UnlockFromWrongThreadRejected) {
   EXPECT_EQ(m.unlock(key), Status::kSuccess);
 }
 
+// The state word names its holder; a waiter marking it contended keeps
+// that name, so relock and owner checks still hold while someone waits.
+TEST(Mutex, ContendedWordKeepsItsHolder) {
+  Mutex m;
+  LockKey key;
+  ASSERT_EQ(m.lock(kTimeoutInfinite, &key), Status::kSuccess);
+  std::thread waiter([&m] {
+    LockKey k;
+    ASSERT_EQ(m.lock(kTimeoutInfinite, &k), Status::kSuccess);
+    EXPECT_EQ(m.unlock(k), Status::kSuccess);
+  });
+  // Long past the waiter's spin: it has marked the word and parked.
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  LockKey again;
+  EXPECT_EQ(m.lock(kTimeoutInfinite, &again), Status::kMutexLocked);
+  std::thread([&m] {
+    EXPECT_EQ(m.unlock(LockKey{1}), Status::kMutexKeyInvalid);
+  }).join();
+  EXPECT_EQ(m.unlock(LockKey{2}), Status::kMutexKeyInvalid);
+  EXPECT_EQ(m.unlock(key), Status::kSuccess);
+  waiter.join();
+  EXPECT_FALSE(m.locked());
+}
+
 TEST(Mutex, TimeoutExpires) {
   Mutex m;
   LockKey key;

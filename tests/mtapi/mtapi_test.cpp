@@ -146,6 +146,12 @@ TEST(MtapiTasks, CancelPendingTask) {
             Status::kSuccess);
   auto blocker = rt.task_start(kJobAdd, nullptr, 0);
   ASSERT_TRUE(blocker.has_value());
+  // Queue the victim only once the worker runs the blocker: queued first,
+  // the victim could be popped (the worker's own deque is LIFO) and run
+  // before cancel().
+  while ((*blocker)->state() != TaskState::kRunning) {
+    std::this_thread::yield();
+  }
   auto victim = rt.task_start(kJobRecord, nullptr, 0);
   ASSERT_TRUE(victim.has_value());
   EXPECT_EQ((*victim)->cancel(), Status::kSuccess);
